@@ -10,11 +10,10 @@
 //                 at 90% spike sparsity (density 0.1) is the PR-3 target.
 //   elemwise_*  — scalar vs AVX2 tiers of the axpy/adam/lif kernels.
 //   ttconv_*    — TTConv2d forward and forward+backward per mode.
-//   infer_run/* — batch-1 Engine::run: legacy per-register executor vs the
-//                 statically planned workspace (PR-6), fresh and reused;
-//                 each row reports arena acquisitions per call alongside p50,
-//                 so "one allocation per call" is a tracked number, not a
-//                 comment.
+//   infer_run/* — batch-1 Engine::run on the statically planned workspace,
+//                 fresh per call and caller-reused; each row reports arena
+//                 acquisitions per call alongside p50, so "one allocation
+//                 per call" is a tracked number, not a comment.
 //   quant/*     — typed weight planes: bf16 dequant tiers, the int8 spike-
 //                 GEMM vs the f32 tiers at 90% sparsity, and the per-mode
 //                 weight footprint with HARD compression gates (int8 < 0.5x
@@ -194,8 +193,7 @@ void bench_ttconv(bench::Report& report, bool quick) {
   }
 }
 
-/// Batch-1 serving latency + allocation traffic: the legacy executor
-/// (Tensor::empty per register) against the statically planned one (one
+/// Batch-1 serving latency + allocation traffic of the planned executor (one
 /// packed workspace), with and without the caller reusing the workspace
 /// tensor across calls — the Router dispatcher's steady state.
 ModulePtr make_serving_model(Rng& rng) {
@@ -219,8 +217,6 @@ void bench_planned_run(bench::Report& report) {
   ModulePtr net = make_serving_model(rng);
   Tensor x = Tensor::bernoulli({4, 1, 3, 16, 16}, rng, 0.2F);
 
-  const infer::Engine legacy =
-      infer::compile(*net, {.static_plan = false});
   const infer::Engine planned = infer::compile(*net);
   const auto plan = planned.memory_plan(x.shape());
   Tensor ws;
@@ -229,7 +225,6 @@ void bench_planned_run(bench::Report& report) {
     const char* tag;
     std::function<Tensor()> run;
   } variants[] = {
-      {"legacy", [&] { return legacy.run(x); }},
       {"planned", [&] { return planned.run(x); }},
       {"planned_reuse", [&] { return planned.run(x, ws); }},
   };
@@ -243,15 +238,13 @@ void bench_planned_run(bench::Report& report) {
         static_cast<double>(calls.hits + calls.misses) / kCalls;
     const bench::Timing t = bench::time_fn([&] { v.run(); }, 0.1);
     const std::string name = std::string("infer_run/") + v.tag;
-    bench::Row& row = report.add(name)
-                          .str("config", v.tag)
-                          .num("allocs_per_call", allocs_per_call)
-                          .timing(t);
-    if (std::string(v.tag) != "legacy") {
-      row.num("workspace_bytes", static_cast<double>(plan->total_floats) * 4)
-          .num("unplanned_bytes",
-               static_cast<double>(plan->unplanned_floats) * 4);
-    }
+    report.add(name)
+        .str("config", v.tag)
+        .num("allocs_per_call", allocs_per_call)
+        .timing(t)
+        .num("workspace_bytes", static_cast<double>(plan->total_floats) * 4)
+        .num("unplanned_bytes",
+             static_cast<double>(plan->unplanned_floats) * 4);
     std::printf("  %-44s p50 %7.3f ms  %5.1f allocs/call\n", name.c_str(),
                 t.p50_s * 1e3, allocs_per_call);
   }

@@ -11,8 +11,9 @@
 //                 overhead and with the pointwise-conv im2col skip
 //   engine/B    — Engine::run over pre-batched requests (upper bound for
 //                 the micro-batcher at batch size B)
-//   server      — infer::Server with concurrent clients; requests are
-//                 coalesced into micro-batches under a latency deadline
+//   server      — a one-shard infer::Router (two dispatchers) with
+//                 concurrent clients; requests are coalesced into
+//                 micro-batches under a latency deadline
 //
 // Router load sweep (the scale-out story): a closed-loop load generator —
 // configurable client count (--clients), shape-mix ratio (--mix), optional
@@ -54,7 +55,6 @@
 #include "core/models.h"
 #include "infer/engine.h"
 #include "infer/router.h"
-#include "infer/server.h"
 #include "tensor/ops.h"
 #include "util/common.h"
 #include "util/failpoint.h"
@@ -363,8 +363,10 @@ int main(int argc, char** argv) {
 
   // --- server: concurrent clients, micro-batched under a deadline ----------
   {
-    infer::Server server(engine, {.max_batch = kBatch, .max_delay_ms = 2.0,
-                                  .num_dispatchers = 2});
+    infer::Router server(engine, {.num_shards = 1,
+                                  .max_batch = kBatch,
+                                  .max_delay_ms = 2.0,
+                                  .dispatchers_per_shard = 2});
     std::vector<double> lat(kRequests, 0.0);
     std::vector<std::thread> clients;
     Timer total;
@@ -379,7 +381,7 @@ int main(int argc, char** argv) {
     }
     for (std::thread& t : clients) t.join();
     const double total_s = total.seconds();
-    infer::ServerStats stats = server.stats();
+    const infer::RouterStats stats = server.stats();
     report(json, "server", summarize(lat, total_s));
     std::printf("  server coalescing: %lld requests in %lld batches "
                 "(mean %.1f, max %lld)\n",

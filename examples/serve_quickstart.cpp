@@ -9,8 +9,8 @@
 //      into an immutable, thread-safe infer::Engine.
 //   4. infer::Router clones the plan across shard replicas and coalesces
 //      single-sample requests into same-shape micro-batches per shard —
-//      mixed request shapes never block each other. (infer::Server is the
-//      same machinery pinned to one shard.)
+//      mixed request shapes never block each other. A single-replica
+//      deployment is the same router with num_shards = 1.
 //   5. Serving is shape-general: each new input resolution compiles its
 //      program once (single-flight, LRU byte budget) and every later
 //      request of that shape is a cache hit. Requests carry a priority

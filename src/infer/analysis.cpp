@@ -632,7 +632,6 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
   a.reads.assign(static_cast<size_t>(num_regs), 0);
   a.root.resize(static_cast<size_t>(num_regs));
   std::iota(a.root.begin(), a.root.end(), 0);
-  a.last_use.assign(static_cast<size_t>(num_regs), INT_MAX);
   a.is_alias.assign(ops.size(), false);
   a.is_inplace.assign(ops.size(), false);
   a.sym_shape.assign(static_cast<size_t>(num_regs), Shape{});
@@ -770,15 +769,6 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
     }
     a.root[out] = op.out;
     group_max[out] = member_last(op.out);
-  }
-
-  // Derived eager-release table (the Engine's legacy executor): a register is
-  // dropped after its last reading op; never-read registers and the result
-  // are pinned to the end of the plan.
-  for (int r = 0; r < num_regs; ++r) {
-    const int last = a.live[static_cast<size_t>(r)].last_use;
-    a.last_use[static_cast<size_t>(r)] =
-        (r == result_reg || last < 0) ? INT_MAX : last;
   }
   return a;
 }

@@ -25,10 +25,10 @@
 ///      outputs) becomes checkable.
 ///
 ///   3. Liveness + alias analysis — exact live ranges per register (the
-///      Engine's eager-release table is derived from this pass), kFlatten
-///      lowered to a pure alias of its input buffer, and in-place-safe ops
-///      (kLif, kAffine, kAdd over their last-read input) merged into their
-///      input's storage group.
+///      memory planner packs storage groups by them), kFlatten lowered to a
+///      pure alias of its input buffer, and in-place-safe ops (kLif, kAffine,
+///      kAdd and their fused forms over their last-read input) merged into
+///      their input's storage group.
 ///
 /// plan_memory() then turns the analysis plus a concrete input shape into a
 /// MemoryPlan: greedy best-fit offset assignment of every storage group, the
@@ -84,9 +84,6 @@ struct PlanAnalysis {
   /// kFlatten aliases or in-place ops share their input's group; everyone
   /// else roots itself. root[r] always points at the group's first register.
   std::vector<int> root;
-  /// Per register: index of the last op reading any register of its storage
-  /// group (the Engine's eager-release table; the result group never dies).
-  std::vector<int> last_use;
 
   /// Per op: true when the op is a pure view (kFlatten) — no kernel runs,
   /// the output register aliases the input buffer.
@@ -133,10 +130,11 @@ struct MemoryPlan {
   int64_t col_floats = 0;      ///< max over every conv lowering in the plan
   int64_t total_floats = 0;    ///< workspace size (one allocation per call)
 
-  /// Sum of every op-output allocation the unplanned executor would make
-  /// (registers + composite temps + col growth), for the savings report.
+  /// Sum of every op output, composite temp and the col buffer as if each
+  /// got its own allocation — the baseline the packing is reported against.
   int64_t unplanned_floats = 0;
-  /// Widest simultaneously-live register set (what eager release peaks at).
+  /// Widest simultaneously-live set of planned storage groups — the lower
+  /// bound on the register part of the workspace.
   int64_t peak_live_floats = 0;
 };
 
@@ -163,8 +161,8 @@ int64_t op_col_floats(const Op& op, const Shape& in_shape);
 
 /// Human-readable memory-plan report for one input shape: one row per
 /// register (live range, shape, bytes, offset, alias/in-place flags) plus
-/// the workspace / scratch / col totals and the savings vs the unplanned
-/// executor. The ttsnn_plan_lint CLI prints this per TT mode.
+/// the workspace / scratch / col totals and the unplanned and peak-live
+/// baselines. The ttsnn_plan_lint CLI prints this per TT mode.
 std::string memory_plan_report(const std::vector<Op>& ops,
                                const PlanAnalysis& analysis,
                                const Shape& input);

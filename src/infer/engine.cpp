@@ -1,7 +1,6 @@
 #include "infer/engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "infer/analysis.h"
@@ -16,89 +15,46 @@ namespace ttsnn::infer {
 
 namespace {
 
-/// Memory provider behind every op kernel. The kernels below are written
-/// once against this interface; the two executors differ ONLY in where the
-/// returned tensors live. LegacyCtx allocates (the reference path, unchanged
-/// behavior); PlannedCtx hands out views of the packed workspace at the
-/// offsets the memory planner assigned. Kernel arithmetic — every gemm /
-/// simd call, argument for argument, in the same order — is shared, which is
-/// what makes the planned executor bit-identical to the legacy one.
-struct ExecCtx {
-  /// The op's output tensor (register `out`).
-  virtual Tensor out(const Shape& s) = 0;
-  /// An op-internal temporary (TT pipeline stages, HTT gather planes).
-  virtual Tensor temp(const Shape& s) = 0;
-  /// The im2col column matrix, reused by every conv lowering in the plan.
-  virtual float* col(int64_t elems) = 0;
-  /// Raw float scratch (the LIF membrane plane).
-  virtual float* raw(int64_t elems) = 0;
-
-  /// Compiled per-op record (set on the planned path): pre-resolved HTT
-  /// schedule split, so kernels skip per-call schedule walks. Null on the
-  /// legacy path, where kernels derive everything from the tensors.
-  const OpExec* exec = nullptr;
-
- protected:
-  ~ExecCtx() = default;
-};
-
-/// Reference executor memory: a fresh tensor per output/temp, a grow-only
-/// buffer for the column matrix, and one live allocation per raw() call —
-/// an op may hold several raw regions at once (LIF membrane plus a bf16
-/// dequant buffer), so they must never alias or move under each other.
-struct LegacyCtx final : ExecCtx {
-  std::vector<float> col_buf;
-  std::vector<std::vector<float>> raw_bufs;
-
-  Tensor out(const Shape& s) override { return Tensor::empty(s); }
-  Tensor temp(const Shape& s) override { return Tensor::empty(s); }
-  float* col(int64_t elems) override {
-    if (static_cast<int64_t>(col_buf.size()) < elems) {
-      col_buf.resize(static_cast<size_t>(elems));
-    }
-    return col_buf.data();
-  }
-  float* raw(int64_t elems) override {
-    raw_bufs.emplace_back(static_cast<size_t>(elems));
-    return raw_bufs.back().data();
-  }
-  /// Drops this op's raw scratch between ops, keeping the reference path's
-  /// peak at the widest single op rather than the whole plan.
-  void end_op() { raw_bufs.clear(); }
-};
-
-/// Planned executor memory for ONE op: the output is a pre-computed
-/// destination (workspace view, in-place alias of the input, or the owning
-/// result tensor), temps/raw bump through the plan's scratch region, col is
-/// the plan's fixed column block. The bump cursor is checked against the
-/// scratch budget op_scratch_floats() computed — any drift between the
-/// analysis enumeration and the kernels is a hard error, not a corruption.
-struct PlannedCtx final : ExecCtx {
+/// Memory provider behind every op kernel, for ONE op of a compiled
+/// program: the output is a pre-computed destination (workspace view,
+/// in-place alias of the input, or the owning result tensor), temps/raw bump
+/// through the plan's scratch region, col is the plan's fixed column block.
+/// The bump cursor is checked against the scratch budget op_scratch_floats()
+/// computed — any drift between the analysis enumeration and the kernels is
+/// a hard error, not a corruption.
+struct PlannedCtx {
   const MemoryPlan* plan = nullptr;
+  /// The op's compiled record; kernels read its pre-resolved HTT schedule
+  /// split instead of walking the schedule per call.
+  const OpExec* exec = nullptr;
   Tensor* ws = nullptr;
   Tensor dest;
   size_t op_index = 0;
   int64_t cursor = 0;
 
-  Tensor out(const Shape& s) override {
+  /// The op's output tensor (register `out`).
+  Tensor out(const Shape& s) const {
     TTSNN_CHECK(dest.defined() && s == dest.shape(),
                 "infer: planned shape drift at op " << op_index << ": kernel "
                     << "produced " << shape_str(s) << ", plan says "
                     << shape_str(dest.shape()));
     return dest;
   }
-  Tensor temp(const Shape& s) override {
+  /// An op-internal temporary (TT pipeline stages, HTT gather planes).
+  Tensor temp(const Shape& s) {
     const int64_t n = shape_numel(s);
     Tensor t = ws->view(plan->scratch_offset + cursor, s);
     bump(n);
     return t;
   }
-  float* col(int64_t elems) override {
+  /// The im2col column matrix, shared by every conv lowering in the plan.
+  float* col(int64_t elems) const {
     TTSNN_CHECK(elems <= plan->col_floats,
                 "infer: planned col overrun at op " << op_index);
     return ws->data() + plan->col_offset;
   }
-  float* raw(int64_t elems) override {
+  /// Raw float scratch (the LIF membrane plane, dequant buffers, u8 tiles).
+  float* raw(int64_t elems) {
     float* p = ws->data() + plan->scratch_offset + cursor;
     bump(elems);
     return p;
@@ -122,8 +78,8 @@ struct PlannedCtx final : ExecCtx {
 /// integer spike-GEMM with per-channel rescale. The bias epilogue is shared
 /// by all three paths.
 Tensor run_conv(const Tensor& x, const Tensor& weight, const WeightPlane& plane,
-                const Conv2d::Options& opts, const Tensor& bias, ExecCtx& ctx,
-                bool is_out) {
+                const Conv2d::Options& opts, const Tensor& bias,
+                PlannedCtx& ctx, bool is_out) {
   TTSNN_CHECK(x.dim() >= 3, "infer conv: input must be at least [C, H, W]");
   TTSNN_CHECK(x.size(-3) == opts.in_channels,
               "infer conv: channel mismatch, expected "
@@ -205,32 +161,11 @@ Tensor run_conv(const Tensor& x, const Tensor& weight, const WeightPlane& plane,
   return out;
 }
 
-/// HTT schedule split for one execution: the compiled program's pre-resolved
-/// index lists when this is a planned run, else (legacy path) a fresh split
-/// via the shared split_htt_schedule — the same function program compilation
-/// uses, so the two paths can never disagree.
-struct ScheduleSplit {
-  const std::vector<int64_t>* full = nullptr;
-  const std::vector<int64_t>* half = nullptr;
-  std::vector<int64_t> full_local, half_local;
-
-  ScheduleSplit(const Op& op, int64_t t_steps, const ExecCtx& ctx) {
-    if (ctx.exec != nullptr && ctx.exec->has_schedule) {
-      full = &ctx.exec->full_idx;
-      half = &ctx.exec->half_idx;
-      return;
-    }
-    split_htt_schedule(op.tt, t_steps, full_local, half_local);
-    full = &full_local;
-    half = &half_local;
-  }
-};
-
 /// gather_steps into a ctx temp; undefined tensor for an empty index list
 /// (matching gather_steps), so the scratch budget only charges non-empty
 /// splits — in lockstep with op_scratch_floats().
 Tensor gather_steps_ctx(const Tensor& x, const std::vector<int64_t>& idx,
-                        ExecCtx& ctx) {
+                        PlannedCtx& ctx) {
   if (idx.empty()) return {};
   Shape s = x.shape();
   s[0] = static_cast<int64_t>(idx.size());
@@ -242,7 +177,7 @@ Tensor gather_steps_ctx(const Tensor& x, const std::vector<int64_t>& idx,
 /// Unmerged TT pipeline — reproduces eval-mode TTConv2d::forward bit-for-bit
 /// (the PTT branches run sequentially here; the training path computes them
 /// into separate buffers before the same add, so the bits agree).
-Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
+Tensor run_tt_exact(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   const Tensor none;
   const WeightPlane f32;  // exact-mode TT cores always stay f32
   Tensor o1 = run_conv(x, op.w1, f32, op.tt_w1_opts, none, ctx, false);
@@ -262,9 +197,9 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
       return ptt_path(o1, true);
     case TTMode::kHTT: {
       TTSNN_CHECK(o1.dim() == 5, "infer HTT expects [T, N, C, H, W]");
-      ScheduleSplit split(op, o1.size(0), ctx);
-      Tensor full_x = gather_steps_ctx(o1, *split.full, ctx);
-      Tensor half_x = gather_steps_ctx(o1, *split.half, ctx);
+      const OpExec& split = *ctx.exec;
+      Tensor full_x = gather_steps_ctx(o1, split.full_idx, ctx);
+      Tensor half_x = gather_steps_ctx(o1, split.half_idx, ctx);
       Tensor y_full, y_half;
       if (full_x.defined()) y_full = ptt_path(full_x, false);
       if (half_x.defined()) {
@@ -276,8 +211,8 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
       Shape out_shape = (y_full.defined() ? y_full : y_half).shape();
       out_shape[0] = o1.size(0);
       Tensor out = ctx.out(out_shape);  // scatter covers every step
-      if (y_full.defined()) scatter_steps(out, y_full, *split.full);
-      if (y_half.defined()) scatter_steps(out, y_half, *split.half);
+      if (y_full.defined()) scatter_steps(out, y_full, split.full_idx);
+      if (y_half.defined()) scatter_steps(out, y_half, split.half_idx);
       return out;
     }
   }
@@ -288,11 +223,11 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
 /// Merged HTT: cross kernel on full steps, merged pointwise on half steps
 /// (Algorithm 1 lines 20-22 applied per schedule entry). Both kernels use
 /// stride s, so all steps agree on the output shape.
-Tensor run_tt_htt_merged(const Op& op, const Tensor& x, ExecCtx& ctx) {
+Tensor run_tt_htt_merged(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() == 5, "infer HTT expects [T, N, C, H, W]");
-  ScheduleSplit split(op, x.size(0), ctx);
-  Tensor full_x = gather_steps_ctx(x, *split.full, ctx);
-  Tensor half_x = gather_steps_ctx(x, *split.half, ctx);
+  const OpExec& split = *ctx.exec;
+  Tensor full_x = gather_steps_ctx(x, split.full_idx, ctx);
+  Tensor half_x = gather_steps_ctx(x, split.half_idx, ctx);
   Tensor y_full, y_half;
   if (full_x.defined()) {
     y_full = run_conv(full_x, op.full_kernel, op.plane, op.conv, op.bias, ctx,
@@ -306,8 +241,8 @@ Tensor run_tt_htt_merged(const Op& op, const Tensor& x, ExecCtx& ctx) {
   Shape out_shape = (y_full.defined() ? y_full : y_half).shape();
   out_shape[0] = x.size(0);
   Tensor out = ctx.out(out_shape);  // scatter covers every step
-  if (y_full.defined()) scatter_steps(out, y_full, *split.full);
-  if (y_half.defined()) scatter_steps(out, y_half, *split.half);
+  if (y_full.defined()) scatter_steps(out, y_full, split.full_idx);
+  if (y_half.defined()) scatter_steps(out, y_half, split.half_idx);
   return out;
 }
 
@@ -316,7 +251,7 @@ Tensor run_tt_htt_merged(const Op& op, const Tensor& x, ExecCtx& ctx) {
 /// eval forward expression-for-expression for bit identity. simd::affine
 /// reads each element before writing the same position, so the output may
 /// alias the input (the planned executor's in-place path).
-Tensor run_affine(const Op& op, const Tensor& x, ExecCtx& ctx) {
+Tensor run_affine(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() == 5, "infer affine expects [T, N, C, H, W], got "
                                 << shape_str(x.shape()));
   const int64_t t_steps = x.size(0);
@@ -357,7 +292,7 @@ Tensor run_affine(const Op& op, const Tensor& x, ExecCtx& ctx) {
 /// LIF spikes via the stateless eval kernel; the membrane plane comes from
 /// ctx scratch. lif_step_eval is read-before-write per element, so the
 /// output may alias the input.
-Tensor run_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
+Tensor run_lif(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() >= 2,
               "LIF expects [T, N, ...], got " << shape_str(x.shape()));
   Tensor out = ctx.out(x.shape());
@@ -367,7 +302,7 @@ Tensor run_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
 }
 
 /// Non-overlapping average pool; mirrors AvgPool2d::forward.
-Tensor run_avg_pool(const Tensor& x, int64_t kernel, ExecCtx& ctx) {
+Tensor run_avg_pool(const Tensor& x, int64_t kernel, PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() >= 3, "infer pool expects [..., C, H, W]");
   const int64_t h = x.size(-2);
   const int64_t w = x.size(-1);
@@ -402,7 +337,7 @@ Tensor run_avg_pool(const Tensor& x, int64_t kernel, ExecCtx& ctx) {
 }
 
 /// Global average pool [T,N,C,H,W] -> [T,N,C]; mirrors GlobalAvgPool.
-Tensor run_global_pool(const Tensor& x, ExecCtx& ctx) {
+Tensor run_global_pool(const Tensor& x, PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() == 5, "infer global pool expects [T, N, C, H, W]");
   const int64_t hw = x.size(3) * x.size(4);
   const int64_t rows = x.numel() / hw;
@@ -423,7 +358,7 @@ Tensor run_global_pool(const Tensor& x, ExecCtx& ctx) {
 /// follow the run_conv pattern: bf16 dequantizes into scratch then runs the
 /// identical f32 gemm; int8 converts the spike rows to u8 and runs the
 /// integer GEMM in its linear (trans_b) orientation.
-Tensor run_linear(const Op& op, const Tensor& x, ExecCtx& ctx) {
+Tensor run_linear(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   const bool planed = op.plane.quantized();
   const int64_t out_f = planed ? op.plane.rows() : op.weight.size(0);
   const int64_t in_f = planed ? op.plane.cols() : op.weight.size(1);
@@ -462,7 +397,7 @@ Tensor run_linear(const Op& op, const Tensor& x, ExecCtx& ctx) {
 /// Residual join: copy + axpy, the same kernel sequence as ops.h add()
 /// (clone then axpy_), so the bits agree. When the destination aliases x
 /// (the planned in-place path) the copy is skipped.
-Tensor run_add(const Tensor& x, const Tensor& x2, ExecCtx& ctx) {
+Tensor run_add(const Tensor& x, const Tensor& x2, PlannedCtx& ctx) {
   TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
                                     << shape_str(x.shape()) << " vs "
                                     << shape_str(x2.shape()));
@@ -481,7 +416,7 @@ Tensor run_add(const Tensor& x, const Tensor& x2, ExecCtx& ctx) {
 /// The tile loop ascends t-major, which IS the membrane recurrence order, and
 /// lif_step_eval reads each element before writing the spike over it, so the
 /// pre-activation never reaches a second buffer.
-Tensor run_conv_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
+Tensor run_conv_lif(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   const Conv2d::Options& opts = op.conv;
   TTSNN_CHECK(x.dim() == 5, "infer conv+lif expects [T, N, C, H, W], got "
                                 << shape_str(x.shape()));
@@ -567,7 +502,7 @@ Tensor run_conv_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
 /// run_affine; each (ch, b) plane sees t ascending — the membrane recurrence
 /// order. affine_lif_step reads x before writing the spike at the same
 /// position, so the output may alias the input (the in-place path).
-Tensor run_affine_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
+Tensor run_affine_lif(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() == 5, "infer affine+lif expects [T, N, C, H, W], got "
                                 << shape_str(x.shape()));
   const int64_t t_steps = x.size(0);
@@ -615,7 +550,7 @@ Tensor run_affine_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
 /// (x + 1*x2). The output may alias x (never x2 — the analysis keeps in2's
 /// storage group separate from the in-place group).
 Tensor run_add_lif(const Op& op, const Tensor& x, const Tensor& x2,
-                   ExecCtx& ctx) {
+                   PlannedCtx& ctx) {
   TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
                                     << shape_str(x.shape()) << " vs "
                                     << shape_str(x2.shape()));
@@ -638,7 +573,7 @@ Tensor run_add_lif(const Op& op, const Tensor& x, const Tensor& x2,
 /// other add operand, op.fused_swap the original operand order. The output
 /// may alias x (never x2).
 Tensor run_affine_add(const Op& op, const Tensor& x, const Tensor& x2,
-                      ExecCtx& ctx) {
+                      PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() == 5, "infer affine+add expects [T, N, C, H, W], got "
                                 << shape_str(x.shape()));
   TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
@@ -680,7 +615,8 @@ Tensor run_affine_add(const Op& op, const Tensor& x, const Tensor& x2,
   return out;
 }
 
-Tensor exec_op(const Op& op, const Tensor& x, const Tensor& x2, ExecCtx& ctx) {
+Tensor exec_op(const Op& op, const Tensor& x, const Tensor& x2,
+               PlannedCtx& ctx) {
   switch (op.kind) {
     case Op::Kind::kConv:
       return run_conv(x, op.weight, op.plane, op.conv, op.bias, ctx, true);
@@ -752,16 +688,8 @@ const char* op_kind_name(Op::Kind k) {
 }
 
 Tensor Engine::run(const Tensor& x) const {
-  TTSNN_FAILPOINT("engine.run");
-  if (!opts_.static_plan) return run_legacy(x);
   Tensor workspace;
-  return run_planned(x, workspace);
-}
-
-Tensor Engine::run(const Tensor& x, Tensor& workspace) const {
-  TTSNN_FAILPOINT("engine.run");
-  if (!opts_.static_plan) return run_legacy(x);
-  return run_planned(x, workspace);
+  return run(x, workspace);
 }
 
 std::shared_ptr<const CompiledProgram> Engine::program(
@@ -789,34 +717,8 @@ Shape Engine::input_signature() const {
   return analysis_->sym_shape[0];
 }
 
-Tensor Engine::run_legacy(const Tensor& x) const {
-  TTSNN_CHECK(!ops_.empty(), "infer::Engine::run on an empty plan");
-  TTSNN_CHECK(x.dim() == 5, "infer::Engine::run expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
-  LegacyCtx ctx;
-  std::vector<Tensor> regs(static_cast<size_t>(num_regs_));
-  regs[0] = x;
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    const Op& op = ops_[i];
-    const Tensor& a = regs[static_cast<size_t>(op.in)];
-    static const Tensor kNone;
-    const Tensor& b = op.in2 >= 0 ? regs[static_cast<size_t>(op.in2)] : kNone;
-    TTSNN_CHECK(a.defined(), "infer: op " << i << " reads an undefined register");
-    Tensor y = exec_op(op, a, b, ctx);
-    ctx.end_op();
-    // Eagerly release registers whose last reader just ran, so peak memory is
-    // the widest live set (e.g. a residual input), not the whole history.
-    for (int r : {op.in, op.in2}) {
-      if (r >= 0 && last_use_[static_cast<size_t>(r)] == static_cast<int>(i)) {
-        regs[static_cast<size_t>(r)] = Tensor();
-      }
-    }
-    regs[static_cast<size_t>(op.out)] = std::move(y);
-  }
-  return regs[static_cast<size_t>(result_reg_)];
-}
-
-Tensor Engine::run_planned(const Tensor& x, Tensor& workspace) const {
+Tensor Engine::run(const Tensor& x, Tensor& workspace) const {
+  TTSNN_FAILPOINT("engine.run");
   TTSNN_CHECK(!ops_.empty(), "infer::Engine::run on an empty plan");
   TTSNN_CHECK(x.dim() == 5, "infer::Engine::run expects [T, N, C, H, W], got "
                                 << shape_str(x.shape()));
@@ -876,7 +778,6 @@ Tensor Engine::run_planned(const Tensor& x, Tensor& workspace) const {
 void Engine::seal() {
   analysis_ = std::make_shared<const PlanAnalysis>(
       analyze_plan(ops_, num_regs_, result_reg_));
-  last_use_ = analysis_->last_use;
   programs_ = std::make_shared<ProgramCache>(opts_.plan_cache_bytes);
 }
 

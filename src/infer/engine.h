@@ -11,14 +11,12 @@
 ///
 /// Every compile() runs the static-analysis pipeline of infer/analysis.h over
 /// the lowered plan: a verifier (malformed plans throw at compile time, not
-/// mid-run), symbolic shape inference, and liveness + alias analysis. With
-/// CompileOptions::static_plan (the default) run() executes a per-shape
-/// CompiledProgram — packed workspace layout plus per-op execution records —
-/// compiled on first miss and memoized in a shape-keyed, LRU-bounded
-/// ProgramCache (plan_cache.h) shared by every copy of the engine: one
-/// allocation per call (zero when the caller re-submits a workspace tensor),
-/// bit-identical outputs to the unplanned executor, which remains available
-/// as the reference path with static_plan off.
+/// mid-run), symbolic shape inference, and liveness + alias analysis. run()
+/// executes a per-shape CompiledProgram — packed workspace layout plus per-op
+/// execution records — compiled on first miss and memoized in a shape-keyed,
+/// LRU-bounded ProgramCache (plan_cache.h) shared by every copy of the
+/// engine: one allocation per call (zero when the caller re-submits a
+/// workspace tensor).
 ///
 /// Lowering follows Algorithm 1 lines 20-22: with CompileOptions::merge_tt
 /// (the default), every TTConv2d collapses into a single dense convolution —
@@ -58,11 +56,6 @@ struct CompileOptions {
   /// is time-invariant (all modes except TEBN). Off: keep a standalone affine
   /// op that reproduces BatchNorm's eval forward bit-for-bit.
   bool fold_batchnorm = true;
-  /// Execute against the statically planned workspace: all registers, the
-  /// im2col buffer, and composite-op scratch live at planner-assigned offsets
-  /// of ONE buffer allocated (or reused) per call. Off: the reference
-  /// executor, one allocation per register. Outputs are bit-identical.
-  bool static_plan = true;
   /// Byte budget of the per-shape compiled-program cache (plan_cache.h):
   /// plan metadata only — weights are refcounted once outside the cache —
   /// with LRU eviction past the budget. 0 disables eviction entirely.
@@ -176,16 +169,16 @@ struct WeightFootprint {
 /// and thread-safe.
 class Engine {
  public:
-  /// Executes the plan on x: [T, N, C, H, W]. Thread-safe. With static_plan
-  /// the call allocates exactly one workspace buffer plus the owning result
-  /// tensor; without it, registers are freed eagerly after their last use,
-  /// so peak memory is the widest live set, not the whole activation history.
+  /// Executes the plan on x: [T, N, C, H, W]. Thread-safe. Registers, the
+  /// im2col buffer and composite-op scratch live at planner-assigned offsets
+  /// of ONE workspace buffer, so the call allocates exactly that buffer plus
+  /// the owning result tensor.
   Tensor run(const Tensor& x) const;
 
   /// As run(x), but places the packed workspace in `workspace`, (re)allocating
   /// it only when too small — zero workspace allocations in steady state for
   /// a caller (e.g. a Router dispatcher thread) that re-submits the same
-  /// tensor every call. With static_plan off this is identical to run(x).
+  /// tensor every call.
   Tensor run(const Tensor& x, Tensor& workspace) const;
 
   size_t num_ops() const { return ops_.size(); }
@@ -231,19 +224,15 @@ class Engine {
   /// residency (shapes cached, bytes vs budget, hit/miss/eviction counts).
   std::string summary() const;
   /// summary() plus the concrete memory-plan report (byte offsets, workspace
-  /// totals, savings vs the unplanned executor) for one input shape.
+  /// totals, packing vs allocating every register) for one input shape.
   std::string summary(const Shape& input) const;
 
  private:
   friend Engine compile(const Module& root, const CompileOptions& opts);
 
-  Tensor run_legacy(const Tensor& x) const;
-  Tensor run_planned(const Tensor& x, Tensor& workspace) const;
-
   std::vector<Op> ops_;
   int num_regs_ = 1;               ///< register 0 is the input
   int result_reg_ = 0;             ///< register holding the network output
-  std::vector<int> last_use_;      ///< per register: index of last reading op
   WeightFootprint weight_footprint_;  ///< unique weight bytes, per dtype
   CompileOptions opts_;
   std::shared_ptr<const PlanAnalysis> analysis_;  ///< set by seal()

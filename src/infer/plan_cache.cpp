@@ -32,8 +32,8 @@ int64_t program_bytes(const CompiledProgram& p) {
   return b;
 }
 
-}  // namespace
-
+/// Splits [0, t_steps) into full/half step index lists per the HTT schedule
+/// (non-HTT or an empty schedule runs every step full).
 void split_htt_schedule(const TTConv2d::Options& tt, int64_t t_steps,
                         std::vector<int64_t>& full_idx,
                         std::vector<int64_t>& half_idx) {
@@ -47,6 +47,8 @@ void split_htt_schedule(const TTConv2d::Options& tt, int64_t t_steps,
     (full ? full_idx : half_idx).push_back(t);
   }
 }
+
+}  // namespace
 
 CompiledProgram compile_program(const std::vector<Op>& ops,
                                 const PlanAnalysis& analysis,

@@ -89,13 +89,6 @@ struct ProgramCacheStats {
   int64_t evictions = 0;     ///< entries dropped by the LRU budget
 };
 
-/// Splits [0, t_steps) into full/half step index lists per the HTT schedule
-/// (non-HTT or an empty schedule runs every step full). Shared by program
-/// compilation and the legacy executor so the two can never disagree.
-void split_htt_schedule(const TTConv2d::Options& tt, int64_t t_steps,
-                        std::vector<int64_t>& full_idx,
-                        std::vector<int64_t>& half_idx);
-
 /// Compiles one program outside any cache: lays out the memory plan for
 /// `input` (throwing labeled ttsnn::Error on shapes the plan cannot run) and
 /// resolves every op's destination and schedule. Deterministic — the cache's

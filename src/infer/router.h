@@ -60,8 +60,8 @@
 ///    `router.dispatch` and `router.dispatch.<replica>` failpoints, so the
 ///    whole quarantine/re-admission machine is testable deterministically.
 ///
-/// Server (server.h) remains as a thin `num_shards = 1` compatibility
-/// wrapper over this class.
+/// A single-replica deployment is `num_shards = 1` (work stealing then has
+/// nowhere to steal from); `dispatchers_per_shard` still overlaps batches.
 
 #include <array>
 #include <atomic>

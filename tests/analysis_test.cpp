@@ -3,12 +3,12 @@
 // with a diagnostic naming the offending op; the liveness/alias pass must
 // mark kFlatten views and in-place-safe ops; the memory planner must catch
 // concrete-shape geometry errors before any kernel runs; and — the hard
-// acceptance bar — the statically planned executor must be bit-identical to
-// the legacy per-register executor in every TT mode, with exactly one
-// allocation per call once a caller reuses its workspace.
+// acceptance bar — in every TT mode the exact plan must be bit-identical to
+// eval-mode Module::forward, every plan's layout must be sound (no two live
+// values share bytes; tests/layout_check.h), and a caller that reuses its
+// workspace must see exactly one allocation per call.
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,6 +16,7 @@
 
 #include "infer/analysis.h"
 #include "infer/engine.h"
+#include "layout_check.h"
 #include "model_gen.h"
 #include "nn/containers.h"
 #include "nn/linear.h"
@@ -357,9 +358,6 @@ TEST(PlanAnalysisTest, LiveRangesMatchTheDataflow) {
   EXPECT_EQ(an.live[1].last_use, 1);
   EXPECT_EQ(an.live[3].def, 2);
   EXPECT_EQ(an.live[3].last_use, -1);  // the result is read by the caller
-  // Derived eager-release table: same semantics the legacy executor uses.
-  EXPECT_EQ(an.last_use[1], 1);
-  EXPECT_EQ(an.last_use[3], std::numeric_limits<int>::max());
 }
 
 // ---- planned executor: bit identity + allocation behavior ------------------
@@ -370,27 +368,25 @@ TEST(PlanAnalysisTest, LiveRangesMatchTheDataflow) {
 
 class PlannedModeTest : public ::testing::TestWithParam<TTMode> {};
 
-TEST_P(PlannedModeTest, PlannedRunBitIdenticalToLegacyExecutor) {
+TEST_P(PlannedModeTest, ExactRunBitIdenticalToModuleAndLayoutsSound) {
   Rng rng(42);
   ModulePtr net = testgen::trained_resnet18(GetParam(), rng);
-  for (const bool merge : {true, false}) {
-    infer::Engine planned = infer::compile(
-        *net,
-        {.merge_tt = merge, .fold_batchnorm = merge, .static_plan = true});
-    infer::Engine legacy = infer::compile(
-        *net,
-        {.merge_tt = merge, .fold_batchnorm = merge, .static_plan = false});
-    // Two shapes through the same engine: the plan cache must lay out (and
-    // execute) each one correctly.
-    for (const Shape& s : {Shape{4, 2, 3, 8, 8}, Shape{4, 1, 3, 12, 12}}) {
-      Tensor x = Tensor::uniform(s, rng);
-      Tensor want = legacy.run(x);
-      Tensor got = planned.run(x);
-      ASSERT_EQ(got.shape(), want.shape());
-      EXPECT_EQ(max_abs_diff(got, want), 0.0)
-          << tt_mode_name(GetParam()) << " merge=" << merge << " "
-          << shape_str(s);
-    }
+  const infer::Engine exact =
+      infer::compile(*net, {.merge_tt = false, .fold_batchnorm = false});
+  const infer::Engine merged = infer::compile(*net);
+  // Two shapes through the same engines: the plan cache must lay out (and
+  // execute) each one correctly.
+  for (const Shape& s : {Shape{4, 2, 3, 8, 8}, Shape{4, 1, 3, 12, 12}}) {
+    SCOPED_TRACE(std::string(tt_mode_name(GetParam())) + " " + shape_str(s));
+    Tensor x = Tensor::uniform(s, rng);
+    Tensor want = net->forward(x);
+    net->clear_cache();
+    Tensor got = exact.run(x);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(max_abs_diff(got, want), 0.0);
+    EXPECT_EQ(merged.run(x).shape(), want.shape());
+    testgen::expect_layout_sound(exact, s);
+    testgen::expect_layout_sound(merged, s);
   }
 }
 
@@ -465,8 +461,8 @@ TEST(PlannedRunTest, PlanPacksBelowTheUnplannedFootprint) {
   const Shape s{4, 2, 3, 8, 8};
   const auto plan = engine.memory_plan(s);
   EXPECT_GT(plan->total_floats, 0);
-  // Liveness-aware packing must beat allocate-everything (the legacy
-  // executor's total traffic) on any multi-layer plan.
+  // Liveness-aware packing must beat allocate-everything (one buffer per op
+  // output) on any multi-layer plan.
   EXPECT_LT(plan->total_floats, plan->unplanned_floats);
   // The report renders and carries the totals.
   const std::string report = engine.summary(s);

@@ -2,7 +2,8 @@
 // random module trees — depth, channels, TT mode (none/stt/ptt/htt), stride,
 // BN flavor (incl. TEBN), pool placement — each compiled with fusion on and
 // off, in both the exact and the merged lowering, asserting BIT-identical
-// outputs against eval-mode Module::forward. Any failure prints the exact
+// outputs against eval-mode Module::forward and a sound memory layout for
+// every engine (tests/layout_check.h). Any failure prints the exact
 // TTSNN_TEST_SEED line that replays the sample plus the fused plan summary.
 //
 // Environment:
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "infer/engine.h"
+#include "layout_check.h"
 #include "model_gen.h"
 #include "tensor/ops.h"
 
@@ -39,8 +41,9 @@ int count_fused(const infer::Engine& engine) {
 
 /// One sample: ground truth from eval Module::forward, then four engines —
 /// {exact, merged} x {fusion on, fusion off}. The exact lowerings must match
-/// the module bit-for-bit; the merged pair must match each other bit-for-bit.
-/// Returns the fused-op count so the sweep can assert fusion actually fired.
+/// the module bit-for-bit; the merged pair must match each other bit-for-bit;
+/// all four must lay out soundly. Returns the fused-op count so the sweep can
+/// assert fusion actually fired.
 int check_sample(uint64_t seed, const testgen::GeneratedModel& gm) {
   SCOPED_TRACE(testgen::seed_line(seed));
   SCOPED_TRACE(gm.desc);
@@ -80,6 +83,10 @@ int check_sample(uint64_t seed, const testgen::GeneratedModel& gm) {
   // Fusion must never appear with the pass disabled.
   EXPECT_EQ(count_fused(e_off), 0) << e_off.summary();
   EXPECT_EQ(count_fused(m_off), 0) << m_off.summary();
+
+  for (const infer::Engine* e : {&e_on, &e_off, &m_on, &m_off}) {
+    testgen::expect_layout_sound(*e, gm.input);
+  }
   return count_fused(e_on) + count_fused(m_on);
 }
 

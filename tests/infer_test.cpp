@@ -1,12 +1,12 @@
-// Tests for the compiled inference engine and micro-batching server: exact
-// (unmerged) lowering must reproduce eval-mode Module::forward bit-for-bit
-// in every TT mode — including an HTT half-step schedule and stride-2
-// layers; merged lowering must match merge_network() bit-for-bit; Engine::run
-// must be thread-safe (identical bits from concurrent callers); and the
-// save -> load -> compile pipeline must reproduce the original model.
+// Tests for the compiled inference engine: exact (unmerged) lowering must
+// reproduce eval-mode Module::forward bit-for-bit in every TT mode —
+// including an HTT half-step schedule and stride-2 layers; merged lowering
+// must match merge_network() bit-for-bit; Engine::run must be thread-safe
+// (identical bits from concurrent callers); and the save -> load -> compile
+// pipeline must reproduce the original model. Serving front-end tests live
+// in router_test.
 
 #include <cstdio>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -15,7 +15,6 @@
 #include "core/factorize.h"
 #include "core/models.h"
 #include "infer/engine.h"
-#include "infer/server.h"
 #include "snn/serialize.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -265,104 +264,6 @@ TEST_F(InferCheckpointTest, SaveLoadCompileReproducesOriginal) {
       *fresh, {.merge_tt = false, .fold_batchnorm = false});
   original->set_training(false);
   EXPECT_EQ(max_abs_diff(exact.run(x), original->forward(x)), 0.0);
-}
-
-TEST(InferServerTest, OutputsMatchPerRequestEngineRuns) {
-  Rng rng(19);
-  ModulePtr net = trained_model(TTMode::kPTT, rng);
-  infer::Engine engine = infer::compile(*net);
-  infer::Server server(engine, {.max_batch = 4, .max_delay_ms = 5.0,
-                                .num_dispatchers = 2});
-
-  constexpr int kRequests = 8;
-  std::vector<Tensor> samples;
-  std::vector<std::future<Tensor>> futures;
-  for (int i = 0; i < kRequests; ++i) {
-    samples.push_back(Tensor::uniform({4, 3, 8, 8}, rng));
-    futures.push_back(server.submit(samples.back()));
-  }
-  for (int i = 0; i < kRequests; ++i) {
-    Tensor got = futures[static_cast<size_t>(i)].get();
-    // Reference: the same sample as a batch of one.
-    Tensor single = samples[static_cast<size_t>(i)].reshape({4, 1, 3, 8, 8});
-    Tensor want = engine.run(single);
-    Tensor want_flat = want.reshape({want.size(0), -1});
-    Tensor got_flat = got.reshape({got.size(0), -1});
-    ASSERT_EQ(got_flat.shape(), want_flat.shape());
-    EXPECT_EQ(max_abs_diff(got_flat, want_flat), 0.0) << "request " << i;
-  }
-  infer::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, kRequests);
-  EXPECT_GE(stats.batches, 1);
-}
-
-TEST(InferServerTest, CoalescesBurstsIntoBatches) {
-  Rng rng(20);
-  ModulePtr net = trained_model(TTMode::kPTT, rng);
-  infer::Engine engine = infer::compile(*net);
-  // A generous deadline: the dispatcher should fill whole batches from a
-  // burst instead of dribbling out one request at a time.
-  infer::Server server(engine, {.max_batch = 4, .max_delay_ms = 200.0});
-
-  std::vector<std::future<Tensor>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(server.submit(Tensor::uniform({4, 3, 8, 8}, rng)));
-  }
-  for (auto& f : futures) f.get();
-  infer::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 8);
-  EXPECT_LE(stats.batches, 4);  // mean batch >= 2: coalescing happened
-  EXPECT_GE(stats.max_batch, 2);
-}
-
-// Mixed spatial sizes are legal (same-padded convs take any H x W): the
-// batcher must partition them into same-shaped batches, not mix them.
-TEST(InferServerTest, PartitionsMixedShapesIntoSeparateBatches) {
-  Rng rng(23);
-  ModulePtr net = trained_model(TTMode::kPTT, rng);
-  infer::Engine engine = infer::compile(*net);
-  infer::Server server(engine, {.max_batch = 4, .max_delay_ms = 50.0});
-
-  std::future<Tensor> small = server.submit(Tensor::uniform({4, 3, 8, 8}, rng));
-  std::future<Tensor> large =
-      server.submit(Tensor::uniform({4, 3, 12, 12}, rng));
-  EXPECT_EQ(small.get().size(0), 4);
-  EXPECT_EQ(large.get().size(0), 4);
-  EXPECT_GE(server.stats().batches, 2);
-}
-
-TEST(InferServerTest, BadRequestFailsAtSubmitAndNeverPoisonsOthers) {
-  Rng rng(21);
-  ModulePtr net = trained_model(TTMode::kPTT, rng);
-  infer::Engine engine = infer::compile(*net);
-  infer::Server server(engine, {.max_batch = 1, .max_delay_ms = 1.0});
-
-  // Wrong channel count: the plan can NEVER serve it, so the submit call
-  // itself rejects it against the model's input signature — synchronously,
-  // instead of queueing it and poisoning a future inside the dispatcher.
-  EXPECT_THROW(server.submit(Tensor::uniform({4, 5, 8, 8}, rng)), Error);
-
-  // The server survives and keeps serving.
-  Tensor ok = server.infer(Tensor::uniform({4, 3, 8, 8}, rng));
-  EXPECT_EQ(ok.size(0), 4);
-}
-
-// Regression: a zero-sized sample ([0, C, H, W] etc.) used to pass the
-// dim()==4 submit check and crash the dispatcher process with an integer
-// divide by zero while stacking (numel / t_steps). It must fail the one
-// submit call instead, and the server must keep serving.
-TEST(InferServerTest, SubmitRejectsZeroSizedSample) {
-  Rng rng(24);
-  ModulePtr net = trained_model(TTMode::kPTT, rng);
-  infer::Engine engine = infer::compile(*net);
-  infer::Server server(engine, {.max_batch = 2, .max_delay_ms = 1.0});
-
-  EXPECT_THROW(server.submit(Tensor(Shape{0, 3, 8, 8})), Error);
-  EXPECT_THROW(server.submit(Tensor(Shape{4, 3, 0, 8})), Error);
-
-  Tensor ok = server.infer(Tensor::uniform({4, 3, 8, 8}, rng));
-  EXPECT_EQ(ok.size(0), 4);
-  EXPECT_EQ(server.stats().requests, 1);
 }
 
 TEST(InferTest, CompileRejectsUnknownModules) {

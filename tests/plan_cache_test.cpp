@@ -200,13 +200,21 @@ TEST(PlanCacheTest, EngineCopiesShareWeightStorageAndCache) {
   for (size_t i = 0; i < engine.ops().size(); ++i) {
     const infer::Op& a = engine.ops()[i];
     const infer::Op& b = replica.ops()[i];
-    if (a.weight.defined()) EXPECT_EQ(a.weight.data(), b.weight.data());
-    if (a.bias.defined()) EXPECT_EQ(a.bias.data(), b.bias.data());
-    if (a.w1.defined()) EXPECT_EQ(a.w1.data(), b.w1.data());
+    if (a.weight.defined()) {
+      EXPECT_EQ(a.weight.data(), b.weight.data());
+    }
+    if (a.bias.defined()) {
+      EXPECT_EQ(a.bias.data(), b.bias.data());
+    }
+    if (a.w1.defined()) {
+      EXPECT_EQ(a.w1.data(), b.w1.data());
+    }
     if (a.full_kernel.defined()) {
       EXPECT_EQ(a.full_kernel.data(), b.full_kernel.data());
     }
-    if (a.bn_gamma.defined()) EXPECT_EQ(a.bn_gamma.data(), b.bn_gamma.data());
+    if (a.bn_gamma.defined()) {
+      EXPECT_EQ(a.bn_gamma.data(), b.bn_gamma.data());
+    }
   }
   EXPECT_GT(engine.weight_bytes(), 0);
   EXPECT_EQ(engine.weight_bytes(), replica.weight_bytes());

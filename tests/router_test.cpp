@@ -1,8 +1,9 @@
 // Tests for the sharded serving router: routed outputs must be bit-identical
-// to direct Engine::run; shape groups must never head-of-line-block each
-// other (a full batch dispatches past an older, not-yet-due foreign group,
-// and a shape-A flood cannot inflate shape-B latency when the shapes live on
-// different shards); flush deadlines must ride with each group's own oldest
+// to direct Engine::run, sharded or on one shard; a burst must coalesce into
+// batches; shape groups must never head-of-line-block each other (a full
+// batch dispatches past an older, not-yet-due foreign group, and a shape-A
+// flood cannot inflate shape-B latency when the shapes live on different
+// shards); flush deadlines must ride with each group's own oldest
 // arrival rather than being re-armed by other groups' flushes; and submit
 // must reject zero-sized samples up front instead of letting the stacking
 // arithmetic divide by zero in a dispatcher. The QoS layer rides the same
@@ -24,7 +25,6 @@
 #include "core/models.h"
 #include "infer/engine.h"
 #include "infer/router.h"
-#include "infer/server.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/failpoint.h"
@@ -95,33 +95,62 @@ uint64_t session_on_shard(const infer::Router& router, const Shape& shape,
   return 0;
 }
 
+// Sharded, and the single-replica deployment with two dispatchers
+// overlapping batches on one shard.
 TEST(RouterTest, RoutedOutputsBitIdenticalToDirectEngineRuns) {
   const infer::Engine& engine = test_engine();
-  infer::Router router(engine, {.num_shards = 3, .max_batch = 4,
-                                .max_delay_ms = 5.0});
+  for (const infer::RouterOptions& opts :
+       {infer::RouterOptions{.num_shards = 3, .max_batch = 4,
+                             .max_delay_ms = 5.0},
+        infer::RouterOptions{.num_shards = 1, .max_batch = 4,
+                             .max_delay_ms = 5.0,
+                             .dispatchers_per_shard = 2}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(opts.num_shards));
+    infer::Router router(engine, opts);
 
-  Rng rng(41);
-  const std::vector<Shape> shapes = {{4, 3, 8, 8}, {4, 3, 12, 12},
-                                     {4, 3, 10, 10}};
-  std::vector<Tensor> samples;
+    Rng rng(41);
+    const std::vector<Shape> shapes = {{4, 3, 8, 8}, {4, 3, 12, 12},
+                                       {4, 3, 10, 10}};
+    std::vector<Tensor> samples;
+    std::vector<std::future<Tensor>> futures;
+    for (int i = 0; i < 18; ++i) {
+      samples.push_back(
+          Tensor::uniform(shapes[static_cast<size_t>(i) % 3], rng));
+      futures.push_back(
+          router.submit(samples.back(), /*session=*/static_cast<uint64_t>(i)));
+    }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      Tensor got = futures[i].get();
+      const Shape& s = samples[i].shape();
+      Tensor want = engine.run(samples[i].reshape({s[0], 1, s[1], s[2], s[3]}));
+      Tensor want_flat = want.reshape({want.size(0), -1});
+      Tensor got_flat = got.reshape({got.size(0), -1});
+      ASSERT_EQ(got_flat.shape(), want_flat.shape());
+      EXPECT_EQ(max_abs_diff(got_flat, want_flat), 0.0) << "request " << i;
+    }
+    infer::RouterStats stats = router.stats();
+    EXPECT_EQ(stats.requests, 18);
+    EXPECT_GE(stats.batches, 3);  // three shape groups can never share a batch
+  }
+}
+
+TEST(RouterTest, CoalescesBurstsIntoBatches) {
+  const infer::Engine& engine = test_engine();
+  // A generous deadline: the dispatcher should fill whole batches from a
+  // burst instead of dribbling out one request at a time.
+  infer::Router router(engine, {.num_shards = 1, .max_batch = 4,
+                                .max_delay_ms = 200.0});
+
+  Rng rng(20);
   std::vector<std::future<Tensor>> futures;
-  for (int i = 0; i < 18; ++i) {
-    samples.push_back(Tensor::uniform(shapes[static_cast<size_t>(i) % 3], rng));
-    futures.push_back(
-        router.submit(samples.back(), /*session=*/static_cast<uint64_t>(i)));
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(router.submit(Tensor::uniform({4, 3, 8, 8}, rng)));
   }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    Tensor got = futures[i].get();
-    const Shape& s = samples[i].shape();
-    Tensor want = engine.run(samples[i].reshape({s[0], 1, s[1], s[2], s[3]}));
-    Tensor want_flat = want.reshape({want.size(0), -1});
-    Tensor got_flat = got.reshape({got.size(0), -1});
-    ASSERT_EQ(got_flat.shape(), want_flat.shape());
-    EXPECT_EQ(max_abs_diff(got_flat, want_flat), 0.0) << "request " << i;
-  }
-  infer::RouterStats stats = router.stats();
-  EXPECT_EQ(stats.requests, 18);
-  EXPECT_GE(stats.batches, 3);  // three shape groups can never share a batch
+  for (auto& f : futures) f.get();
+  const infer::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.requests, 8);
+  EXPECT_LE(stats.batches, 4);  // mean batch >= 2: coalescing happened
+  EXPECT_GE(stats.max_batch, 2);
 }
 
 // Regression for the stacking divide-by-zero: a [0, C, H, W] (or any

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs hygiene checker (runs in CI and as the `docs_check` ctest entry).
 
-Two passes over the repo:
+Three passes over the repo:
 
 1. Markdown link check: every relative link in README.md, ROADMAP.md,
    CHANGES.md and docs/**/*.md must resolve to an existing file or directory
@@ -10,6 +10,9 @@ Two passes over the repo:
 2. Header brief check: every public header under src/ must carry a Doxygen
    `\\file` line followed by a non-empty brief within its first lines, so the
    API stays self-describing.
+3. Snippet include check: every `#include "..."` inside a fenced code block
+   of README.md or docs/**/*.md must name a header that exists under src/,
+   so a snippet cannot keep teaching a header that was removed.
 
 Usage: check_docs.py [repo_root]   (exit 0 = clean, 1 = findings, printed
 one per line as `path: message`).
@@ -20,6 +23,8 @@ import sys
 from pathlib import Path
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
 
@@ -37,7 +42,7 @@ def check_markdown_links(root: Path):
         text = md.read_text(encoding="utf-8")
         # Strip fenced code blocks: shell snippets legitimately contain
         # bracket-paren sequences that are not links.
-        text = re.sub(r"```.*?```", "", text, flags=re.DOTALL)
+        text = FENCE_RE.sub("", text)
         for target in LINK_RE.findall(text):
             if target.startswith(SKIP_SCHEMES) or target.startswith("#"):
                 continue
@@ -74,9 +79,29 @@ def check_header_briefs(root: Path):
     return problems
 
 
+def check_snippet_includes(root: Path):
+    problems = []
+    docs = [root / "README.md", *sorted((root / "docs").glob("**/*.md"))]
+    for md in docs:
+        if not md.exists():
+            continue
+        for block in FENCE_RE.findall(md.read_text(encoding="utf-8")):
+            for header in INCLUDE_RE.findall(block):
+                if not (root / "src" / header).is_file():
+                    problems.append(
+                        f"{md.relative_to(root)}: snippet includes "
+                        f"\"{header}\", not a header under src/"
+                    )
+    return problems
+
+
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
-    problems = check_markdown_links(root) + check_header_briefs(root)
+    problems = (
+        check_markdown_links(root)
+        + check_header_briefs(root)
+        + check_snippet_includes(root)
+    )
     for p in problems:
         print(p)
     if problems:
