@@ -3,11 +3,13 @@
 // perf trajectory is tracked PR-over-PR.
 //
 // Families:
-//   gemm_*      — kernel tiers (naive / blocked / simd / sparse) over dense
-//                 and spike-sparse operands; GFLOP/s is nominal 2mnk work,
-//                 so tier rows divide directly into speedups. The
-//                 `speedup_vs_naive` field is the headline: the sparse tier
-//                 at 90% spike sparsity (density 0.1) is the PR-3 target.
+//   gemm_*      — the kernels gemm() chooses between (naive = scalar row
+//                 kernel / simd = AVX2 row kernel / sparse = spike plane),
+//                 called directly over dense and spike-sparse operands;
+//                 GFLOP/s is nominal 2mnk work, so rows divide directly into
+//                 speedups. The `speedup_vs_naive` field is the headline,
+//                 read at 90% spike sparsity (density 0.1) for the sparse
+//                 kernel.
 //   elemwise_*  — scalar vs AVX2 tiers of the axpy/adam/lif kernels.
 //   ttconv_*    — TTConv2d forward and forward+backward per mode.
 //   infer_run/* — batch-1 Engine::run on the statically planned workspace,
@@ -20,15 +22,18 @@
 //                 f32, bf16 <= 0.55x — deterministic byte accounting, so CI
 //                 fails on them directly).
 //   merge/svd   — TT merge contraction, TT-SVD, VBMF rank estimation.
-//   train_epoch — end-to-end epoch with the pre-PR compute path (naive gemm,
-//                 scalar elementwise) vs the current defaults, plus a
-//                 sync-vs-prefetch pair with augmentation on; every row
-//                 reports the compute / data-wait wall-clock split.
+//   train_epoch — end-to-end epoch on the scalar SIMD tier vs the current
+//                 defaults, plus a sync-vs-prefetch pair with augmentation
+//                 on; every row reports the compute / data-wait wall-clock
+//                 split.
 //
 // Flags: --out=PATH (default BENCH_micro.json), --quick (CI smoke sizing).
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "util/bench_json.h"
 #include "core/factorize.h"
@@ -40,34 +45,49 @@
 #include "nn/conv2d.h"
 #include "snn/trainer.h"
 #include "tensor/arena.h"
-#include "tensor/gemm.h"
 #include "tensor/simd.h"
+#include "tensor/spike_plane.h"
 #include "tt/tt_svd.h"
 #include "tt/vbmf.h"
 
 namespace ttsnn {
 namespace {
 
-const char* kernel_name(GemmKernel k) {
-  switch (k) {
-    case GemmKernel::kAuto:
-      return "auto";
-    case GemmKernel::kNaive:
-      return "naive";
-    case GemmKernel::kBlocked:
-      return "blocked";
-    case GemmKernel::kSimd:
-      return "simd";
-    case GemmKernel::kSparse:
-      return "sparse";
+/// C = op(A) * op(B) on the dense simd:: row kernel of the active level.
+void dense_gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                const float* a, const float* b, float* c) {
+  std::fill(c, c + m * n, 0.0F);
+  if (trans_a) {
+    simd::gemm_tn_rows(0, m, n, k, m, 1.0F, a, b, c);
+  } else if (trans_b) {
+    simd::gemm_nt_rows(0, m, n, k, 1.0F, a, b, c);
+  } else {
+    simd::gemm_nn_rows(0, m, n, k, 1.0F, a, b, c);
   }
-  return "?";
 }
 
-/// One GEMM config at several kernel tiers; emits GFLOP/s + speedup rows.
+/// C = A * op(B) on the spike-plane path for binary B, build included —
+/// the work gemm() does per call when it picks that path.
+void sparse_gemm(bool trans_b, int64_t m, int64_t n, int64_t k, const float* a,
+                 const float* b, float* c) {
+  SpikePlane plane;
+  TTSNN_CHECK(trans_b ? plane.build(b, n, k) : plane.build(b, k, n),
+              "sparse_gemm: B is not a binary matrix");
+  std::fill(c, c + m * n, 0.0F);
+  if (trans_b) {
+    spmm_nt_rows(0, m, n, k, 1.0F, a, plane, c);
+  } else {
+    spmm_nn_rows(0, m, n, k, 1.0F, a, plane, c);
+  }
+}
+
+/// One GEMM config on each kernel gemm() can run, called directly so no
+/// selection rule sits in the timed path: `naive` is the scalar row kernel,
+/// `simd` the AVX2 one (AVX2 hosts only), `sparse` the spike-plane path
+/// (binary B only). Emits GFLOP/s + speedup rows.
 void bench_gemm(bench::Report& report, const char* op, bool trans_a,
                 bool trans_b, int64_t m, int64_t n, int64_t k, float density,
-                const std::vector<GemmKernel>& kernels, double min_seconds) {
+                double min_seconds) {
   Rng rng(8);
   // Density < 1 makes the *B* operand a binary spike matrix (the operand the
   // conv lowering makes sparse); A stays dense like conv weights / gradients.
@@ -83,40 +103,43 @@ void bench_gemm(bench::Report& report, const char* op, bool trans_a,
   Tensor c = Tensor::zeros({m, n});
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                        static_cast<double>(k);
-  GemmThreadsGuard threads(1);  // isolate the kernel, not the fan-out
+  auto dense_at = [&](simd::Level level) {
+    return [&, level] {
+      simd::LevelGuard guard(level);
+      dense_gemm(trans_a, trans_b, m, n, k, a.data(), b.data(), c.data());
+    };
+  };
+  std::vector<std::pair<const char*, std::function<void()>>> kernels = {
+      {"naive", dense_at(simd::Level::kScalar)}};
+  if (simd::detected_level() == simd::Level::kAvx2) {
+    kernels.emplace_back("simd", dense_at(simd::Level::kAvx2));
+  }
+  if (density < 1.0F) {
+    kernels.emplace_back("sparse", [&] {
+      sparse_gemm(trans_b, m, n, k, a.data(), b.data(), c.data());
+    });
+  }
   double naive_gflops = 0.0;
-  for (GemmKernel kern : kernels) {
-    GemmKernelGuard guard(kern);
-    const bench::Timing t = bench::time_fn(
-        [&] {
-          gemm(trans_a, trans_b, m, n, k, 1.0F, a.data(), b.data(), 0.0F,
-               c.data());
-        },
-        min_seconds);
+  for (const auto& [kernel, run] : kernels) {
+    const bench::Timing t = bench::time_fn(run, min_seconds);
     const double gflops = flops / t.p50_s * 1e-9;
-    if (kern == GemmKernel::kNaive) naive_gflops = gflops;
+    if (naive_gflops == 0.0) naive_gflops = gflops;  // first row is naive
     char name[128];
     std::snprintf(name, sizeof(name), "%s/%lldx%lldx%lld/d%.2f/%s", op,
                   static_cast<long long>(m), static_cast<long long>(n),
-                  static_cast<long long>(k), density, kernel_name(kern));
-    bench::Row& row = report.add(name)
-                          .str("op", op)
-                          .str("kernel", kernel_name(kern))
-                          .num("m", static_cast<double>(m))
-                          .num("n", static_cast<double>(n))
-                          .num("k", static_cast<double>(k))
-                          .num("density", density)
-                          .num("gflops", gflops)
-                          .timing(t);
-    if (naive_gflops > 0.0) {
-      row.num("speedup_vs_naive", gflops / naive_gflops);
-    }
-    std::printf("  %-44s %8.2f GFLOP/s  p50 %7.3f ms%s\n", name, gflops,
-                t.p50_s * 1e3,
-                kern == GemmKernel::kNaive
-                    ? ""
-                    : (" (" + std::to_string(gflops / naive_gflops) + "x)")
-                          .c_str());
+                  static_cast<long long>(k), density, kernel);
+    report.add(name)
+        .str("op", op)
+        .str("kernel", kernel)
+        .num("m", static_cast<double>(m))
+        .num("n", static_cast<double>(n))
+        .num("k", static_cast<double>(k))
+        .num("density", density)
+        .num("gflops", gflops)
+        .timing(t)
+        .num("speedup_vs_naive", gflops / naive_gflops);
+    std::printf("  %-44s %8.2f GFLOP/s  p50 %7.3f ms (%.2fx)\n", name, gflops,
+                t.p50_s * 1e3, gflops / naive_gflops);
   }
 }
 
@@ -360,8 +383,9 @@ void bench_quant_kernels(bench::Report& report, bool quick) {
   // Conv-shaped int8 spike-GEMM: out_c x spatial x (in_c*k*k) at density
   // 0.10 — the PR-3 90%-sparsity operating point. The int8 row times the
   // whole replacement path (float col -> transposed u8 -> integer GEMM with
-  // per-channel rescale); the f32 rows time the gemm call the plan would
-  // otherwise make on the identical operands.
+  // per-channel rescale); the f32 rows time the two kernels an f32 plan's
+  // gemm call chooses between, dense row kernel and spike plane, on the
+  // identical operands.
   {
     const int64_t m = 64;
     const int64_t n = quick ? 256 : 1024;
@@ -372,7 +396,6 @@ void bench_quant_kernels(bench::Report& report, bool quick) {
     Tensor c = Tensor::zeros({m, n});
     const WeightPlane plane = WeightPlane::int8_from(w);
     std::vector<uint8_t> su8(static_cast<size_t>(k * n));
-    GemmThreadsGuard threads(1);
     double f32_simd_ms = 0.0;
     const struct {
       const char* tag;
@@ -380,15 +403,11 @@ void bench_quant_kernels(bench::Report& report, bool quick) {
     } variants[] = {
         {"f32_simd",
          [&] {
-           GemmKernelGuard guard(GemmKernel::kSimd);
-           gemm(false, false, m, n, k, 1.0F, w.data(), col.data(), 0.0F,
-                c.data());
+           dense_gemm(false, false, m, n, k, w.data(), col.data(), c.data());
          }},
         {"f32_sparse",
          [&] {
-           GemmKernelGuard guard(GemmKernel::kSparse);
-           gemm(false, false, m, n, k, 1.0F, w.data(), col.data(), 0.0F,
-                c.data());
+           sparse_gemm(false, m, n, k, w.data(), col.data(), c.data());
          }},
         {"int8",
          [&] {
@@ -495,13 +514,13 @@ void bench_decompositions(bench::Report& report) {
   std::printf("  %-44s p50 %7.3f ms\n", "vbmf", vbmf.p50_s * 1e3);
 }
 
-/// End-to-end training epoch on a shared model/data recipe. `legacy` pins the
-/// naive GEMM kernel and the scalar elementwise tier — the exact hot-path
-/// code the seed ran. `augment` + `prefetch` exercise the DataLoader: the
-/// sync (prefetch 0) vs prefetch-2 pair with augmentation on isolates how
-/// much batch assembly the producer tasks hide behind the compute.
-double bench_train_epoch(bench::Report& report, const char* tag, bool legacy,
-                         bool quick, bool augment = false,
+/// End-to-end training epoch on a shared model/data recipe at one SIMD
+/// level: kScalar runs every simd:: kernel, dense GEMM rows included, on its
+/// scalar loop. `augment` + `prefetch` exercise the DataLoader: the sync
+/// (prefetch 0) vs prefetch-2 pair with augmentation on isolates how much
+/// batch assembly the producer tasks hide behind the compute.
+double bench_train_epoch(bench::Report& report, const char* tag,
+                         simd::Level level, bool quick, bool augment = false,
                          int64_t prefetch = 2) {
   // Sized so the conv GEMMs actually reach the kernel-tier thresholds
   // (base_width 16 on 16x16 inputs); a toy-scale model measures framework
@@ -534,9 +553,7 @@ double bench_train_epoch(bench::Report& report, const char* tag, bool legacy,
   tc.verbose = false;
   Trainer trainer(*net, data, data, tc);
 
-  GemmKernelGuard kernel(legacy ? GemmKernel::kNaive : GemmKernel::kAuto);
-  simd::LevelGuard level(legacy ? simd::Level::kScalar
-                                : simd::detected_level());
+  simd::LevelGuard guard(level);
   trainer.run_epoch(0);  // warm-up: first-touch weights, arena population
   Timer t;
   EpochStats stats = trainer.run_epoch(0);
@@ -571,27 +588,20 @@ int main(int argc, char** argv) {
       .str("detected", simd::level_name(simd::detected_level()))
       .str("active", simd::level_name(simd::active_level()));
 
-  std::printf("== GEMM kernel tiers ==\n");
-  const std::vector<GemmKernel> dense_kernels = {
-      GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kSimd};
-  const std::vector<GemmKernel> spike_kernels = {
-      GemmKernel::kNaive, GemmKernel::kSimd, GemmKernel::kSparse};
-  bench_gemm(report, "gemm_nn", false, false, 256, 256, 256, 1.0F,
-             dense_kernels, gemm_secs);
+  std::printf("== GEMM kernels ==\n");
+  bench_gemm(report, "gemm_nn", false, false, 256, 256, 256, 1.0F, gemm_secs);
   if (!args.quick) {
     bench_gemm(report, "gemm_nn", false, false, 128, 512, 1024, 1.0F,
-               dense_kernels, gemm_secs);
+               gemm_secs);
   }
-  bench_gemm(report, "gemm_tn", true, false, 256, 256, 256, 1.0F,
-             dense_kernels, gemm_secs);
+  bench_gemm(report, "gemm_tn", true, false, 256, 256, 256, 1.0F, gemm_secs);
   // Spike-sparse B: density 0.10 is the PR-3 "90% spike sparsity" target row.
   for (float density : args.quick ? std::vector<float>{0.1F}
                                   : std::vector<float>{0.3F, 0.1F, 0.03F}) {
     bench_gemm(report, "gemm_nn", false, false, 256, 256, 256, density,
-               spike_kernels, gemm_secs);
+               gemm_secs);
   }
-  bench_gemm(report, "gemm_nt", false, true, 64, 288, 1024, 0.1F,
-             {GemmKernel::kNaive, GemmKernel::kSparse}, gemm_secs);
+  bench_gemm(report, "gemm_nt", false, true, 64, 288, 1024, 0.1F, gemm_secs);
 
   std::printf("== elementwise tiers ==\n");
   {
@@ -652,23 +662,22 @@ int main(int argc, char** argv) {
   }
 
   std::printf("== end-to-end training epoch ==\n");
-  // Legacy pins prefetch=0 as well: the seed assembled batches synchronously,
-  // and the row must keep measuring that exact path PR-over-PR.
-  const double legacy_s = bench_train_epoch(report, "legacy", true, args.quick,
-                                            /*augment=*/false, /*prefetch=*/0);
+  const simd::Level best = simd::detected_level();
+  const double scalar_s =
+      bench_train_epoch(report, "scalar", simd::Level::kScalar, args.quick);
   const double current_s =
-      bench_train_epoch(report, "current", false, args.quick);
-  report.add("train_epoch/speedup").num("speedup_vs_legacy",
-                                        legacy_s / current_s);
-  std::printf("  %-44s %7.2fx\n", "train_epoch speedup", legacy_s / current_s);
+      bench_train_epoch(report, "current", best, args.quick);
+  report.add("train_epoch/speedup").num("speedup_vs_scalar",
+                                        scalar_s / current_s);
+  std::printf("  %-44s %7.2fx\n", "train_epoch speedup", scalar_s / current_s);
   // DataLoader pair: same compute, augmentation on, batch assembly on the
   // training thread (sync) vs hidden behind prefetch-2 producer tasks. On a
   // single-core host the loader falls back to sync and the pair ties.
-  const double sync_aug_s = bench_train_epoch(report, "sync_augment", false,
+  const double sync_aug_s = bench_train_epoch(report, "sync_augment", best,
                                               args.quick, /*augment=*/true,
                                               /*prefetch=*/0);
   const double prefetch_aug_s =
-      bench_train_epoch(report, "prefetch_augment", false, args.quick,
+      bench_train_epoch(report, "prefetch_augment", best, args.quick,
                         /*augment=*/true, /*prefetch=*/2);
   report.add("train_epoch/prefetch_speedup")
       .num("speedup_vs_sync", sync_aug_s / prefetch_aug_s);

@@ -13,41 +13,14 @@ namespace ttsnn {
 namespace {
 
 std::atomic<int> g_gemm_threads{1};
-std::atomic<GemmKernel> g_gemm_kernel{GemmKernel::kAuto};
-
-/// The blocked NN/TN kernels tile over n only: a k x NC column panel of B is
-/// held L2-resident and reused by every row of the strip, with NC chosen so
-/// the panel fits kPanelBytes. The k loop stays whole and ascending inside
-/// each panel, so every C element accumulates its contributions in exactly
-/// the same order as the naive kernels — results stay bit-identical.
-constexpr int64_t kPanelBytes = 512 << 10;
-
-/// Panel width (in floats) for a given inner dimension k, clamped so tiny
-/// panels don't degenerate the inner loop.
-int64_t panel_width(int64_t k) {
-  const int64_t nc = kPanelBytes / (k * static_cast<int64_t>(sizeof(float)));
-  return std::max<int64_t>(64, nc & ~int64_t{15});
-}
-
-/// The scalar blocked kernel only pays off once B no longer fits in cache;
-/// below this size the naive loops win on its panel overhead.
-constexpr int64_t kBlockedThreshold = 1 << 17;
-
-/// The AVX2 kernel has essentially no setup cost, so it engages far earlier —
-/// the training loop is dominated by thousands of small per-item conv GEMMs
-/// (m*n*k around 10^4-10^5) that the blocked threshold never reaches.
-constexpr int64_t kVectorThreshold = 1 << 10;
 
 /// Minimum problem size for attempting a SpikePlane build on B (the build
 /// scans k*n floats; at m >= 4 that is at most 1/8 of the nominal work).
 constexpr int64_t kSparseThreshold = 1 << 14;
 
-/// Fraction of zeros in a strided sample of the matrix, against a threshold
-/// in percent. The O(1) sample decides a kernel regime for O(m*n*k) work:
-///  - A side, > 25% zeros: the blocked kernels' 4-row grouping dilutes the
-///    zero-row skip, so spike-sparse A stays on the naive kernel;
-///  - B side, > 70% zeros: worth attempting a SpikePlane build for the
-///    gathered-accumulation path.
+/// True when more than `percent` % of a strided sample of the matrix is zero.
+/// The O(1) sample decides whether a SpikePlane build on B is worth trying
+/// for O(m*n*k) work.
 bool sample_zeros_exceed(const float* p, int64_t len, int64_t percent) {
   constexpr int64_t kSamples = 256;
   // Odd stride: a power-of-two stride over a power-of-two row length would
@@ -65,175 +38,6 @@ bool sample_zeros_exceed(const float* p, int64_t len, int64_t percent) {
 /// 8-wide multiply-add per 8 elements) and the build is abandoned.
 constexpr double kSparseMaxDensity = 0.25;
 
-/// Computes rows [m0, m1) of C for the non-transposed case A[m,k] * B[k,n].
-/// Inner loops are ordered i-k-j so the B row is streamed contiguously.
-/// A single O(k) scan per row hoists the zero check out of the O(k*n) inner
-/// loop: fully dense rows (conv weights, gradients) run branch-free, and
-/// only rows that actually contain zeros (spike rows) pay the per-element
-/// test. Contributions stay in ascending-k order either way, so the result
-/// is bit-identical to the pre-hoist kernel.
-void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c) {
-  for (int64_t i = m0; i < m1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    if (std::find(arow, arow + k, 0.0F) == arow + k) {  // dense row
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = alpha * arow[p];
-        const float* brow = b + p * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-      continue;
-    }
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = alpha * arow[p];
-      if (av == 0.0F) continue;  // spike matrices are sparse; skip zero rows
-      const float* brow = b + p * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-/// Four C rows updated from one streamed B row. The all-zero early-out and
-/// the per-row fallback reproduce the naive kernel's skip semantics exactly
-/// (a skipped row's C element is never touched, so no 0 * inf or -0.0 + 0.0
-/// artifacts can differ from the naive result).
-void update4(float av0, float av1, float av2, float av3, const float* brow,
-             int64_t j0, int64_t j1, float* cr0, float* cr1, float* cr2,
-             float* cr3) {
-  const bool z0 = av0 == 0.0F, z1 = av1 == 0.0F, z2 = av2 == 0.0F,
-             z3 = av3 == 0.0F;
-  if (z0 && z1 && z2 && z3) return;
-  if (!z0 && !z1 && !z2 && !z3) {
-    for (int64_t j = j0; j < j1; ++j) {
-      const float bv = brow[j];
-      cr0[j] += av0 * bv;
-      cr1[j] += av1 * bv;
-      cr2[j] += av2 * bv;
-      cr3[j] += av3 * bv;
-    }
-    return;
-  }
-  if (!z0) for (int64_t j = j0; j < j1; ++j) cr0[j] += av0 * brow[j];
-  if (!z1) for (int64_t j = j0; j < j1; ++j) cr1[j] += av1 * brow[j];
-  if (!z2) for (int64_t j = j0; j < j1; ++j) cr2[j] += av2 * brow[j];
-  if (!z3) for (int64_t j = j0; j < j1; ++j) cr3[j] += av3 * brow[j];
-}
-
-/// Blocked variant of gemm_nn_rows: tiles over n so the active k x NC panel
-/// of B stays cache-resident across the strip, and register-blocks four rows
-/// of C so every streamed B element feeds four FMAs instead of one. Each C
-/// element still accumulates its k contributions in ascending order, so the
-/// result is bit-identical to the naive kernel.
-void gemm_nn_rows_blocked(int64_t m0, int64_t m1, int64_t n, int64_t k,
-                          float alpha, const float* a, const float* b,
-                          float* c) {
-  const int64_t nc = panel_width(k);
-  for (int64_t j0 = 0; j0 < n; j0 += nc) {
-    const int64_t j1 = std::min(n, j0 + nc);
-    int64_t i = m0;
-    for (; i + 4 <= m1; i += 4) {
-      const float* ar0 = a + i * k;
-      const float* ar1 = ar0 + k;
-      const float* ar2 = ar1 + k;
-      const float* ar3 = ar2 + k;
-      float* cr0 = c + i * n;
-      float* cr1 = cr0 + n;
-      float* cr2 = cr1 + n;
-      float* cr3 = cr2 + n;
-      for (int64_t p = 0; p < k; ++p) {
-        update4(alpha * ar0[p], alpha * ar1[p], alpha * ar2[p],
-                alpha * ar3[p], b + p * n, j0, j1, cr0, cr1, cr2, cr3);
-      }
-    }
-    for (; i < m1; ++i) {  // remainder rows, scalar
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = alpha * arow[p];
-        if (av == 0.0F) continue;  // spike sparsity: skip zero rows of B
-        const float* brow = b + p * n;
-        for (int64_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-/// Rows [m0, m1) of C for A[m,k] * B^T where B is [n, k].
-void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c) {
-  for (int64_t i = m0; i < m1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      double s = 0.0;
-      for (int64_t p = 0; p < k; ++p) s += static_cast<double>(arow[p]) * brow[p];
-      crow[j] += alpha * static_cast<float>(s);
-    }
-  }
-}
-
-/// Rows [m0, m1) of C for A^T * B where A is [k, m], B is [k, n]. The zero
-/// check is hoisted per A row (one O(m) scan instead of m per-element tests)
-/// exactly like gemm_nn_rows.
-void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
-                  float alpha, const float* a, const float* b, float* c) {
-  for (int64_t p = 0; p < k; ++p) {
-    const float* arow = a + p * lda;
-    const float* brow = b + p * n;
-    if (std::find(arow + m0, arow + m1, 0.0F) == arow + m1) {  // dense row
-      for (int64_t i = m0; i < m1; ++i) {
-        const float av = alpha * arow[i];
-        float* crow = c + i * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-      continue;
-    }
-    for (int64_t i = m0; i < m1; ++i) {
-      const float av = alpha * arow[i];
-      if (av == 0.0F) continue;
-      float* crow = c + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-/// Blocked variant of gemm_tn_rows: tiles over n so the active m x NC block
-/// of C stays cache-resident across the whole k sweep (the naive TN loop
-/// re-streams all of C on every k step), and register-blocks four C rows per
-/// streamed B row like the NN kernel. The p loop stays ascending within a
-/// panel, so the result is bit-identical to the naive kernel.
-void gemm_tn_rows_blocked(int64_t m0, int64_t m1, int64_t n, int64_t k,
-                          int64_t lda, float alpha, const float* a,
-                          const float* b, float* c) {
-  const int64_t nc = panel_width(k);
-  for (int64_t j0 = 0; j0 < n; j0 += nc) {
-    const int64_t j1 = std::min(n, j0 + nc);
-    int64_t i = m0;
-    for (; i + 4 <= m1; i += 4) {
-      float* cr0 = c + i * n;
-      float* cr1 = cr0 + n;
-      float* cr2 = cr1 + n;
-      float* cr3 = cr2 + n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float* arow = a + p * lda + i;
-        update4(alpha * arow[0], alpha * arow[1], alpha * arow[2],
-                alpha * arow[3], b + p * n, j0, j1, cr0, cr1, cr2, cr3);
-      }
-    }
-    for (; i < m1; ++i) {  // remainder rows, scalar
-      float* crow = c + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = alpha * a[p * lda + i];
-        if (av == 0.0F) continue;
-        const float* brow = b + p * n;
-        for (int64_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
 void scale_c(float beta, int64_t mn, float* c) {
   if (beta == 1.0F) return;
   if (beta == 0.0F) {
@@ -242,10 +46,6 @@ void scale_c(float beta, int64_t mn, float* c) {
   }
   simd::scale(mn, beta, c);
 }
-
-/// Which dense kernel a strip runs. kVector is the AVX2 kernel from
-/// simd_avx2.cpp; kBlocked its scalar twin; kNaive the plain loops.
-enum class DenseTier { kNaive, kBlocked, kVector };
 
 }  // namespace
 
@@ -262,16 +62,6 @@ GemmThreadsGuard::GemmThreadsGuard(int threads) : prev_(gemm_threads()) {
 
 GemmThreadsGuard::~GemmThreadsGuard() { set_gemm_threads(prev_); }
 
-void set_gemm_kernel(GemmKernel kernel) { g_gemm_kernel.store(kernel); }
-
-GemmKernel gemm_kernel() { return g_gemm_kernel.load(); }
-
-GemmKernelGuard::GemmKernelGuard(GemmKernel kernel) : prev_(gemm_kernel()) {
-  set_gemm_kernel(kernel);
-}
-
-GemmKernelGuard::~GemmKernelGuard() { set_gemm_kernel(prev_); }
-
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
   TTSNN_CHECK(m >= 0 && n >= 0 && k >= 0, "negative gemm dims");
@@ -285,9 +75,6 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // A^T with B^T is not needed anywhere in the library.
   TTSNN_CHECK(!(trans_a && trans_b), "gemm: TT case unsupported");
 
-  const GemmKernel pinned = g_gemm_kernel.load();
-
-  // --- spike-plane path: binary sparse B, NN and NT --------------------------
   // The B operand of the conv GEMMs is the (im2col'd) spike activation; when
   // it samples sparse, one O(k*n) CSR build turns the O(m*n*k) product into
   // gathered accumulation over the non-zeros. The build itself verifies the
@@ -295,55 +82,13 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // from the sample costs one scan, never a wrong kernel.
   SpikePlane plane;
   bool sparse = false;
-  if (!trans_a) {
+  if (!trans_a && m >= 4 && m * n * k >= kSparseThreshold) {
     const int64_t b_rows = trans_b ? n : k;
     const int64_t b_cols = trans_b ? k : n;
-    if (pinned == GemmKernel::kSparse) {
-      sparse = plane.build(b, b_rows, b_cols);  // forced: any binary density
-    } else if (pinned == GemmKernel::kAuto && m >= 4 &&
-               m * n * k >= kSparseThreshold &&
-               sample_zeros_exceed(b, b_rows * b_cols, 70)) {
-      sparse = plane.build(b, b_rows, b_cols, kSparseMaxDensity);
-    }
+    sparse = sample_zeros_exceed(b, b_rows * b_cols, 70) &&
+             plane.build(b, b_rows, b_cols, kSparseMaxDensity);
   }
 
-  // --- dense tier selection. NN/TN have vector and scalar-blocked kernels;
-  // NT has a vector kernel only (four parallel double-lane dot columns) and
-  // otherwise stays on the naive double-accumulating loop.
-  DenseTier tier = DenseTier::kNaive;
-  if (!sparse) {
-    const bool avx2 = simd::active_level() == simd::Level::kAvx2;
-    switch (pinned) {
-      case GemmKernel::kNaive:
-      case GemmKernel::kSparse:  // sparse build failed: B was not binary
-        break;
-      case GemmKernel::kBlocked:
-        if (!trans_b) tier = DenseTier::kBlocked;
-        break;
-      case GemmKernel::kSimd:
-        if (avx2) {
-          tier = DenseTier::kVector;
-        } else if (!trans_b) {
-          tier = DenseTier::kBlocked;
-        }
-        break;
-      case GemmKernel::kAuto:
-        // Dense A above the tier threshold runs vectorized (or scalar
-        // blocked without AVX2); sparse spike matrices stay on the naive
-        // kernel, whose per-row zero skip the 4-row grouping would dilute
-        // (NT has no zero skip, so the A sample is skipped there).
-        if (avx2 && m * n * k >= kVectorThreshold &&
-            (trans_b || !sample_zeros_exceed(a, m * k, 25))) {
-          tier = DenseTier::kVector;
-        } else if (!avx2 && !trans_b && m * n * k >= kBlockedThreshold &&
-                   m >= 8 && !sample_zeros_exceed(a, m * k, 25)) {
-          tier = DenseTier::kBlocked;
-        }
-        break;
-    }
-  }
-
-  const int64_t panel = panel_width(k);
   auto run_rows = [&](int64_t m0, int64_t m1) {
     if (sparse) {
       if (trans_b) {
@@ -352,35 +97,11 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
         spmm_nn_rows(m0, m1, n, k, alpha, a, plane, c);
       }
     } else if (trans_a) {
-      switch (tier) {
-        case DenseTier::kVector:
-          simd::gemm_tn_rows_avx2(m0, m1, n, k, m, panel, alpha, a, b, c);
-          break;
-        case DenseTier::kBlocked:
-          gemm_tn_rows_blocked(m0, m1, n, k, m, alpha, a, b, c);
-          break;
-        case DenseTier::kNaive:
-          gemm_tn_rows(m0, m1, n, k, m, alpha, a, b, c);
-          break;
-      }
+      simd::gemm_tn_rows(m0, m1, n, k, m, alpha, a, b, c);
     } else if (trans_b) {
-      if (tier == DenseTier::kVector) {
-        simd::gemm_nt_rows_avx2(m0, m1, n, k, alpha, a, b, c);
-      } else {
-        gemm_nt_rows(m0, m1, n, k, alpha, a, b, c);
-      }
+      simd::gemm_nt_rows(m0, m1, n, k, alpha, a, b, c);
     } else {
-      switch (tier) {
-        case DenseTier::kVector:
-          simd::gemm_nn_rows_avx2(m0, m1, n, k, panel, alpha, a, b, c);
-          break;
-        case DenseTier::kBlocked:
-          gemm_nn_rows_blocked(m0, m1, n, k, alpha, a, b, c);
-          break;
-        case DenseTier::kNaive:
-          gemm_nn_rows(m0, m1, n, k, alpha, a, b, c);
-          break;
-      }
+      simd::gemm_nn_rows(m0, m1, n, k, alpha, a, b, c);
     }
   };
 

@@ -1,16 +1,21 @@
 #pragma once
 
 /// \file gemm.h
-/// Small blocked single-precision GEMM for packed row-major matrices.
+/// Single-precision GEMM for packed row-major matrices.
 /// C = alpha * op(A) * op(B) + beta * C, with op controlled by trans flags.
 /// Matrices are densely packed: op(A) is [m, k], op(B) is [k, n], C is [m, n].
 ///
+/// Each call picks its kernel from its operands alone. A B operand (NN / NT)
+/// that samples as a sparse binary spike matrix takes the SpikePlane
+/// gathered-accumulation path (spike_plane.h); everything else runs the dense
+/// simd:: row kernels (simd.h), whose instruction set simd chooses. Every
+/// kernel accumulates each C element in ascending-k order, so results are
+/// bit-identical across kernels, SIMD tiers and thread counts.
+///
 /// Large problems are row-partitioned across the shared ThreadPool; the PTT
-/// branch parallelism (DESIGN.md §4) uses the same pool one level up, so GEMM
-/// keeps its own fan-out conservative to avoid oversubscription. The NN and
-/// TN paths additionally switch to a cache-blocked inner kernel above a size
-/// threshold. Both kernels accumulate each C element in ascending-k order, so
-/// results are bit-identical across kernels and thread counts.
+/// branch parallelism (docs/ARCHITECTURE.md, "Threading model") uses the same
+/// pool one level up, so GEMM keeps its own fan-out conservative to avoid
+/// oversubscription.
 
 #include <cstdint>
 
@@ -20,8 +25,8 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
 
 /// Number of row partitions GEMM may fan out across the shared pool
-/// (defaults to 1; the training loop raises it for the dense baseline where
-/// no branch parallelism exists).
+/// (defaults to 1; bench/bench_util.h raises it to 2 for the models without
+/// branch parallelism, the dense baseline and STT).
 void set_gemm_threads(int threads);
 int gemm_threads();
 
@@ -36,36 +41,6 @@ class GemmThreadsGuard {
 
  private:
   int prev_ = 0;
-};
-
-/// Inner-kernel selection. kAuto dispatches per call:
-///   - spike-sparse binary B (NN / NT) -> the SpikePlane spmm path, which
-///     replaces inner products with gathered accumulation;
-///   - large dense problems -> the AVX2 kernel when the CPU has it (kSimd),
-///     else the scalar cache-blocked kernel (kBlocked);
-///   - everything else -> the naive loops (kNaive).
-/// The explicit values pin one tier for tests and benchmarks. kSimd degrades
-/// to kBlocked on CPUs without AVX2 (or under simd::LevelGuard(kScalar));
-/// kSparse degrades to kNaive when B is not a binary matrix. Every tier
-/// returns bit-identical results on finite inputs — the AVX2 kernels use
-/// unfused multiply+add in scalar order, and the spmm path's skipped zeros
-/// would have contributed exact ±0.0 terms — so selection is a pure
-/// performance decision.
-enum class GemmKernel { kAuto, kNaive, kBlocked, kSimd, kSparse };
-
-void set_gemm_kernel(GemmKernel kernel);
-GemmKernel gemm_kernel();
-
-/// Same RAII idea as GemmThreadsGuard, for the kernel override.
-class GemmKernelGuard {
- public:
-  explicit GemmKernelGuard(GemmKernel kernel);
-  ~GemmKernelGuard();
-  GemmKernelGuard(const GemmKernelGuard&) = delete;
-  GemmKernelGuard& operator=(const GemmKernelGuard&) = delete;
-
- private:
-  GemmKernel prev_;
 };
 
 }  // namespace ttsnn

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "tensor/simd_kernels.h"
-#include "util/common.h"
 
 namespace ttsnn::simd {
 
@@ -268,31 +267,78 @@ void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
   }
 }
 
-// ---- GEMM row-strip kernels ------------------------------------------------
-// gemm.cpp only calls these after checking the active level itself, so the
-// public entry points just assert and forward.
+// ---- dense GEMM row kernels ------------------------------------------------
+// The scalar tier is the plain loop nest, and the reference the AVX2 tier
+// and the spike-plane kernels are tested against.
 
-void gemm_nn_rows_avx2(int64_t m0, int64_t m1, int64_t n, int64_t k,
-                       int64_t panel, float alpha, const float* a,
-                       const float* b, float* c) {
-  TTSNN_CHECK(active_level() == Level::kAvx2,
-              "gemm_nn_rows_avx2 called on the scalar tier");
-  avx2::gemm_nn_rows(m0, m1, n, k, panel, alpha, a, b, c);
+/// Inner loops run i-k-j so the B row streams contiguously. A single O(k)
+/// scan per row hoists the zero check out of the O(k*n) inner loop: fully
+/// dense rows (conv weights, gradients) run branch-free, and only rows that
+/// contain zeros (spike rows) pay the per-element test. Contributions stay in
+/// ascending-k order either way.
+void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
+                  const float* a, const float* b, float* c) {
+  if (use_avx2()) return avx2::gemm_nn_rows(m0, m1, n, k, alpha, a, b, c);
+  for (int64_t i = m0; i < m1; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    if (std::find(arow, arow + k, 0.0F) == arow + k) {  // dense row
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = alpha * arow[p];
+        const float* brow = b + p * n;
+        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+      continue;
+    }
+    for (int64_t p = 0; p < k; ++p) {
+      const float av = alpha * arow[p];
+      if (av == 0.0F) continue;  // spike matrices are sparse; skip zero rows
+      const float* brow = b + p * n;
+      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
 }
 
-void gemm_tn_rows_avx2(int64_t m0, int64_t m1, int64_t n, int64_t k,
-                       int64_t lda, int64_t panel, float alpha, const float* a,
-                       const float* b, float* c) {
-  TTSNN_CHECK(active_level() == Level::kAvx2,
-              "gemm_tn_rows_avx2 called on the scalar tier");
-  avx2::gemm_tn_rows(m0, m1, n, k, lda, panel, alpha, a, b, c);
+/// The zero check is hoisted per A row (one O(m) scan instead of m
+/// per-element tests) exactly like gemm_nn_rows.
+void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
+                  float alpha, const float* a, const float* b, float* c) {
+  if (use_avx2()) {
+    return avx2::gemm_tn_rows(m0, m1, n, k, lda, alpha, a, b, c);
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* arow = a + p * lda;
+    const float* brow = b + p * n;
+    if (std::find(arow + m0, arow + m1, 0.0F) == arow + m1) {  // dense row
+      for (int64_t i = m0; i < m1; ++i) {
+        const float av = alpha * arow[i];
+        float* crow = c + i * n;
+        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+      continue;
+    }
+    for (int64_t i = m0; i < m1; ++i) {
+      const float av = alpha * arow[i];
+      if (av == 0.0F) continue;
+      float* crow = c + i * n;
+      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
 }
 
-void gemm_nt_rows_avx2(int64_t m0, int64_t m1, int64_t n, int64_t k,
-                       float alpha, const float* a, const float* b, float* c) {
-  TTSNN_CHECK(active_level() == Level::kAvx2,
-              "gemm_nt_rows_avx2 called on the scalar tier");
-  avx2::gemm_nt_rows(m0, m1, n, k, alpha, a, b, c);
+void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
+                  const float* a, const float* b, float* c) {
+  if (use_avx2()) return avx2::gemm_nt_rows(m0, m1, n, k, alpha, a, b, c);
+  for (int64_t i = m0; i < m1; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* brow = b + j * k;
+      double s = 0.0;
+      for (int64_t p = 0; p < k; ++p) s += static_cast<double>(arow[p]) * brow[p];
+      crow[j] += alpha * static_cast<float>(s);
+    }
+  }
 }
 
 // ---- typed weight-plane kernels --------------------------------------------

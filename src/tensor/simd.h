@@ -16,6 +16,8 @@
 /// them — reductions that would need lane-split accumulators are deliberately
 /// not offered here). That keeps the library-wide "same bits on every kernel
 /// tier" invariant that the GEMM layer and the inference engine pin in tests.
+/// This is the only place that chooses an instruction set: gemm() and every
+/// other caller just call the kernels below.
 
 #include <cstdint>
 
@@ -128,25 +130,27 @@ void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w);
 
-// ---- GEMM microkernels -----------------------------------------------------
-// Row-strip kernels matching the scalar kernels in gemm.cpp: same n-panel /
-// 4-row blocking, same ascending-k accumulation, same zero-skip semantics.
-// Called by gemm() only when the active level is kAvx2.
+// ---- dense GEMM row kernels ------------------------------------------------
+// Row strips of C += alpha * op(A) * op(B) over packed row-major operands;
+// gemm() (tensor/gemm.h) scales C by beta and fans the strips out over the
+// pool. Every C element accumulates its k contributions in ascending order
+// with unfused mul+add, and a zero A element is skipped (it would only add
+// ±0.0), so both tiers return the same bits on finite inputs. The AVX2 NN/TN
+// kernels tile n into cache-resident panels and update four C rows per
+// streamed B row; the tiling changes which element is touched when, never
+// the order of one element's terms.
 
-/// Rows [m0, m1) of C += alpha * A * B (A [m,k], B [k,n]), n-panelled.
-void gemm_nn_rows_avx2(int64_t m0, int64_t m1, int64_t n, int64_t k,
-                       int64_t panel, float alpha, const float* a,
-                       const float* b, float* c);
+/// Rows [m0, m1) of C += alpha * A * B (A [m,k], B [k,n]).
+void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
+                  const float* a, const float* b, float* c);
 /// Rows [m0, m1) of C += alpha * A^T * B (A [k,m] with leading dim lda).
-void gemm_tn_rows_avx2(int64_t m0, int64_t m1, int64_t n, int64_t k,
-                       int64_t lda, int64_t panel, float alpha, const float* a,
-                       const float* b, float* c);
-/// Rows [m0, m1) of C += alpha * A * B^T (B [n,k]). Four output columns run
-/// as four independent double-precision lanes; each dot product still
-/// accumulates in ascending k with unfused mul+add, so the result matches
-/// the scalar kernel bit-for-bit.
-void gemm_nt_rows_avx2(int64_t m0, int64_t m1, int64_t n, int64_t k,
-                       float alpha, const float* a, const float* b, float* c);
+void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
+                  float alpha, const float* a, const float* b, float* c);
+/// Rows [m0, m1) of C += alpha * A * B^T (B [n,k]). Each dot product
+/// accumulates in double; the AVX2 tier runs four output columns as four
+/// independent double lanes.
+void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
+                  const float* a, const float* b, float* c);
 
 // ---- typed weight-plane kernels (tensor/weight_plane.h) --------------------
 // The quantized serving path. Unlike the float kernels above, the int8 GEMMs

@@ -402,6 +402,20 @@ void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
 
 namespace {
 
+/// The NN/TN kernels tile over n only: a k x NC column panel of B is held
+/// L2-resident and reused by every row of the strip, with NC chosen so the
+/// panel fits kPanelBytes. The k loop stays whole and ascending inside each
+/// panel, so every C element accumulates in the scalar kernels' order.
+constexpr int64_t kPanelBytes = 512 << 10;
+
+/// Panel width (in floats) for a given inner dimension k, clamped so tiny
+/// panels don't degenerate the inner loop.
+int64_t panel_width(int64_t k) {
+  constexpr auto kFloatBytes = static_cast<int64_t>(sizeof(float));
+  const int64_t nc = kPanelBytes / (std::max<int64_t>(k, 1) * kFloatBytes);
+  return std::max<int64_t>(64, nc & ~int64_t{15});
+}
+
 /// crow[j] += av * brow[j] over [j0, j1) — one vectorized axpy strip.
 inline void axpy_strip(float av, const float* brow, int64_t j0, int64_t j1,
                        float* crow) {
@@ -415,9 +429,9 @@ inline void axpy_strip(float av, const float* brow, int64_t j0, int64_t j1,
   for (; j < j1; ++j) crow[j] += av * brow[j];
 }
 
-/// Four C rows updated from one streamed B row; mirrors update4() in gemm.cpp
-/// including its all-zero early-out and per-row zero skip, so the result is
-/// bit-identical to the scalar blocked kernel.
+/// Four C rows updated from one streamed B row. A zero A element skips its
+/// row (the all-zero case skips all four), exactly as the scalar kernel
+/// skips it, so no 0 * inf or -0.0 + 0.0 artifact can differ between tiers.
 inline void update4(float av0, float av1, float av2, float av3,
                     const float* brow, int64_t j0, int64_t j1, float* cr0,
                     float* cr1, float* cr2, float* cr3) {
@@ -458,8 +472,9 @@ inline void update4(float av0, float av1, float av2, float av3,
 
 }  // namespace
 
-void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t panel,
-                  float alpha, const float* a, const float* b, float* c) {
+void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
+                  const float* a, const float* b, float* c) {
+  const int64_t panel = panel_width(k);
   for (int64_t j0 = 0; j0 < n; j0 += panel) {
     const int64_t j1 = std::min(n, j0 + panel);
     int64_t i = m0;
@@ -530,8 +545,8 @@ void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
 }
 
 void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
-                  int64_t panel, float alpha, const float* a, const float* b,
-                  float* c) {
+                  float alpha, const float* a, const float* b, float* c) {
+  const int64_t panel = panel_width(k);
   for (int64_t j0 = 0; j0 < n; j0 += panel) {
     const int64_t j1 = std::min(n, j0 + panel);
     int64_t i = m0;
@@ -656,9 +671,9 @@ void affine_add(int64_t, float, float, float, float, bool, const float*,
 void adam_step(int64_t, float, float, float, float, float, float, float,
                const float*, float*, float*, float*) {}
 void sgd_step(int64_t, float, float, float, const float*, float*, float*) {}
-void gemm_nn_rows(int64_t, int64_t, int64_t, int64_t, int64_t, float,
-                  const float*, const float*, float*) {}
-void gemm_tn_rows(int64_t, int64_t, int64_t, int64_t, int64_t, int64_t, float,
+void gemm_nn_rows(int64_t, int64_t, int64_t, int64_t, float, const float*,
+                  const float*, float*) {}
+void gemm_tn_rows(int64_t, int64_t, int64_t, int64_t, int64_t, float,
                   const float*, const float*, float*) {}
 void gemm_nt_rows(int64_t, int64_t, int64_t, int64_t, float, const float*,
                   const float*, float*) {}

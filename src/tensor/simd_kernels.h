@@ -40,11 +40,10 @@ void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
                float* v, float* w);
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w);
-void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t panel,
-                  float alpha, const float* a, const float* b, float* c);
+void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
+                  const float* a, const float* b, float* c);
 void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
-                  int64_t panel, float alpha, const float* a, const float* b,
-                  float* c);
+                  float alpha, const float* a, const float* b, float* c);
 void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
                   const float* a, const float* b, float* c);
 void dequant_bf16(int64_t n, const uint16_t* src, float* dst);

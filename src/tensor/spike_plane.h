@@ -16,7 +16,8 @@
 /// round-to-nearest cancellation yields +0.0), and a hit entry contributes
 /// a * 1.0f == a exactly. Iteration stays ascending in the contraction index,
 /// so for finite inputs the spmm kernels return the same bits as the dense
-/// kernels in gemm.cpp. Tests pin this at spike densities {0, 0.03, 0.3, 1}.
+/// simd::gemm_nn_rows / gemm_nt_rows (simd.h). Tests pin this at spike
+/// densities {0, 0.03, 0.3, 1}.
 
 #include <cstdint>
 #include <vector>
@@ -57,7 +58,7 @@ void spmm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
 
 /// Rows [m0, m1) of C += alpha * A * B^T for A [m, k], C [m, n], where
 /// `plane` indexes B [n, k]. Accumulates each dot product in double in
-/// ascending index order, matching gemm_nt_rows bit-for-bit.
+/// ascending index order, matching simd::gemm_nt_rows bit-for-bit.
 void spmm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
                   const float* a, const SpikePlane& plane, float* c);
 

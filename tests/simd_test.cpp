@@ -183,56 +183,52 @@ TEST(SimdKernelTest, AdamAndSgdBitwiseAcrossTails) {
   }
 }
 
-// --- GEMM: the kSimd tier must be bit-identical to the naive kernel ---------
+// --- GEMM: the AVX2 row kernels must be bit-identical to the scalar ones ---
 
-Tensor run_gemm(GemmKernel kernel, bool trans_a, int64_t m, int64_t n,
-                int64_t k, const Tensor& a, const Tensor& b) {
-  GemmKernelGuard guard(kernel);
+Tensor run_gemm(simd::Level level, bool trans_a, bool trans_b, int64_t m,
+                int64_t n, int64_t k, const Tensor& a, const Tensor& b) {
+  simd::LevelGuard guard(level);
   GemmThreadsGuard threads(1);
   Tensor c = Tensor::zeros({m, n});
-  gemm(trans_a, false, m, n, k, 1.0F, a.data(), b.data(), 0.0F, c.data());
+  gemm(trans_a, trans_b, m, n, k, 1.0F, a.data(), b.data(), 0.0F, c.data());
   return c;
 }
 
 TEST(SimdGemmTest, SimdMatchesNaiveBitwise) {
   if (!has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
-  // Odd shapes exercise the panel and 8-lane tails; bernoulli A exercises
-  // the zero-skip branches of the 4-row microkernel.
+  // Odd shapes exercise the panel, 8-lane and 4-column tails; a bernoulli-
+  // masked A exercises the zero-skip branches of the 4-row microkernel. B is
+  // dense normal, so gemm() never takes the spike-plane path here.
   const int64_t shapes[][3] = {
       {1, 1, 1}, {3, 5, 7}, {17, 9, 33}, {33, 129, 65}, {65, 31, 129},
       {128, 257, 64}};
+  const struct {
+    bool trans_a;
+    bool trans_b;
+    const char* name;
+  } orients[] = {{false, false, "nn"}, {true, false, "tn"}, {false, true, "nt"}};
   Rng rng(5);
-  for (bool trans_a : {false, true}) {
+  for (const auto& o : orients) {
     for (const auto& s : shapes) {
       const int64_t m = s[0], n = s[1], k = s[2];
       for (float density : {0.4F, 1.0F}) {
-        Tensor a = trans_a ? Tensor::bernoulli({k, m}, rng, density)
-                           : Tensor::bernoulli({m, k}, rng, density);
-        Tensor b = Tensor::randn({k, n}, rng);
-        Tensor ref = run_gemm(GemmKernel::kNaive, trans_a, m, n, k, a, b);
-        Tensor out = run_gemm(GemmKernel::kSimd, trans_a, m, n, k, a, b);
+        Tensor a = o.trans_a ? Tensor::randn({k, m}, rng)
+                             : Tensor::randn({m, k}, rng);
+        a.mul_(Tensor::bernoulli(a.shape(), rng, density));
+        Tensor b = o.trans_b ? Tensor::randn({n, k}, rng)
+                             : Tensor::randn({k, n}, rng);
+        Tensor ref = run_gemm(simd::Level::kScalar, o.trans_a, o.trans_b, m, n,
+                              k, a, b);
+        Tensor out = run_gemm(simd::Level::kAvx2, o.trans_a, o.trans_b, m, n,
+                              k, a, b);
         ASSERT_EQ(std::memcmp(ref.data(), out.data(),
                               static_cast<size_t>(ref.numel()) * sizeof(float)),
                   0)
-            << (trans_a ? "tn" : "nn") << " m=" << m << " n=" << n
-            << " k=" << k << " density=" << density;
+            << o.name << " m=" << m << " n=" << n << " k=" << k
+            << " density=" << density;
       }
     }
   }
-}
-
-TEST(SimdGemmTest, SimdPinDegradesGracefullyWhenMasked) {
-  // kSimd pinned while the scalar tier is active must route to the blocked
-  // scalar kernel — same bits, no dispatch into AVX2 code.
-  simd::LevelGuard guard(simd::Level::kScalar);
-  Rng rng(6);
-  Tensor a = Tensor::randn({33, 65}, rng);
-  Tensor b = Tensor::randn({65, 17}, rng);
-  Tensor ref = run_gemm(GemmKernel::kNaive, false, 33, 17, 65, a, b);
-  Tensor out = run_gemm(GemmKernel::kSimd, false, 33, 17, 65, a, b);
-  EXPECT_EQ(std::memcmp(ref.data(), out.data(),
-                        static_cast<size_t>(ref.numel()) * sizeof(float)),
-            0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// SpikePlane build semantics and the sparse-vs-dense GEMM identity the
-// kernel-selection layer relies on: at every spike density the gathered-
-// accumulation path must return the same BITS as the naive dense kernel,
-// because gemm() switches between them based on a runtime sample.
+// SpikePlane build semantics and the sparse-vs-dense GEMM identity gemm()
+// relies on: at every spike density the gathered-accumulation path must
+// return the same BITS as the scalar dense row kernel, because gemm()
+// switches between them based on a runtime sample.
 
 #include "tensor/spike_plane.h"
 
@@ -11,6 +11,7 @@
 
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 
 namespace ttsnn {
@@ -53,13 +54,24 @@ TEST(SpikePlaneTest, BuildRejectsAboveMaxDensity) {
   EXPECT_TRUE(plane.build(dense_spikes.data(), 32, 32));
 }
 
-Tensor run_gemm(GemmKernel kernel, bool trans_b, int64_t m, int64_t n,
-                int64_t k, float alpha, const Tensor& a, const Tensor& b,
-                float beta, const Tensor& c0) {
-  GemmKernelGuard guard(kernel);
-  GemmThreadsGuard threads(1);
+/// C + alpha * A * op(B) on the scalar dense row kernel — the reference.
+Tensor dense_ref(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
+                 const Tensor& a, const Tensor& b, const Tensor& c0) {
+  simd::LevelGuard scalar(simd::Level::kScalar);
   Tensor c = c0.clone();
-  gemm(false, trans_b, m, n, k, alpha, a.data(), b.data(), beta, c.data());
+  if (trans_b) {
+    simd::gemm_nt_rows(0, m, n, k, alpha, a.data(), b.data(), c.data());
+  } else {
+    simd::gemm_nn_rows(0, m, n, k, alpha, a.data(), b.data(), c.data());
+  }
+  return c;
+}
+
+/// The full gemm() call with its own kernel selection (beta = 0).
+Tensor run_gemm(bool trans_b, int64_t m, int64_t n, int64_t k, const Tensor& a,
+                const Tensor& b) {
+  Tensor c = Tensor::zeros({m, n});
+  gemm(false, trans_b, m, n, k, 1.0F, a.data(), b.data(), 0.0F, c.data());
   return c;
 }
 
@@ -73,6 +85,8 @@ bool bit_identical(const Tensor& x, const Tensor& y) {
 const float kDensities[] = {0.0F, 0.03F, 0.3F, 1.0F};
 
 TEST(SpikePlaneGemmTest, SparseMatchesNaiveBitwiseAcrossDensities) {
+  // The spmm kernels are called directly, so every density runs them — gemm()
+  // itself would only pick them below kSparseMaxDensity.
   const int64_t shapes[][3] = {{4, 9, 16}, {17, 33, 65}, {64, 100, 128}};
   Rng rng(11);
   for (const auto& s : shapes) {
@@ -82,13 +96,19 @@ TEST(SpikePlaneGemmTest, SparseMatchesNaiveBitwiseAcrossDensities) {
         Tensor a = Tensor::randn({m, k}, rng);
         Tensor b = trans_b ? Tensor::bernoulli({n, k}, rng, density)
                            : Tensor::bernoulli({k, n}, rng, density);
-        // beta=1 with a non-zero C exercises the accumulate path the dW
-        // GEMMs use; alpha != 1 exercises the scaling.
+        // A non-zero C exercises the accumulate path the dW GEMMs use;
+        // alpha != 1 exercises the scaling.
         Tensor c0 = Tensor::randn({m, n}, rng);
-        Tensor ref =
-            run_gemm(GemmKernel::kNaive, trans_b, m, n, k, 0.5F, a, b, 1.0F, c0);
-        Tensor out =
-            run_gemm(GemmKernel::kSparse, trans_b, m, n, k, 0.5F, a, b, 1.0F, c0);
+        Tensor ref = dense_ref(trans_b, m, n, k, 0.5F, a, b, c0);
+        SpikePlane plane;
+        ASSERT_TRUE(trans_b ? plane.build(b.data(), n, k)
+                            : plane.build(b.data(), k, n));
+        Tensor out = c0.clone();
+        if (trans_b) {
+          spmm_nt_rows(0, m, n, k, 0.5F, a.data(), plane, out.data());
+        } else {
+          spmm_nn_rows(0, m, n, k, 0.5F, a.data(), plane, out.data());
+        }
         EXPECT_TRUE(bit_identical(ref, out))
             << (trans_b ? "nt" : "nn") << " m=" << m << " n=" << n
             << " k=" << k << " density=" << density;
@@ -97,50 +117,53 @@ TEST(SpikePlaneGemmTest, SparseMatchesNaiveBitwiseAcrossDensities) {
   }
 }
 
-TEST(SpikePlaneGemmTest, SparsePinFallsBackOnNonBinaryB) {
+TEST(SpikePlaneGemmTest, AutoPathFallsBackOnSparseNonBinaryB) {
+  // 90% zeros passes gemm()'s sparsity sample, but the values are not
+  // spikes: the SpikePlane build must bail and the dense kernel must run.
   Rng rng(13);
-  Tensor a = Tensor::randn({8, 32}, rng);
-  Tensor b = Tensor::randn({32, 24}, rng);  // not binary: build must bail
-  Tensor c0 = Tensor::zeros({8, 24});
-  Tensor ref = run_gemm(GemmKernel::kNaive, false, 8, 24, 32, 1.0F, a, b,
-                        0.0F, c0);
-  Tensor out = run_gemm(GemmKernel::kSparse, false, 8, 24, 32, 1.0F, a, b,
-                        0.0F, c0);
-  EXPECT_TRUE(bit_identical(ref, out));
+  const int64_t m = 8, n = 64, k = 64;
+  Tensor a = Tensor::randn({m, k}, rng);
+  for (bool trans_b : {false, true}) {
+    Tensor b =
+        trans_b ? Tensor::randn({n, k}, rng) : Tensor::randn({k, n}, rng);
+    b.mul_(Tensor::bernoulli(b.shape(), rng, 0.1F));
+    const Tensor ref =
+        dense_ref(trans_b, m, n, k, 1.0F, a, b, Tensor::zeros({m, n}));
+    EXPECT_TRUE(bit_identical(ref, run_gemm(trans_b, m, n, k, a, b)))
+        << (trans_b ? "nt" : "nn");
+  }
 }
 
 TEST(SpikePlaneGemmTest, AutoSelectionStaysBitIdenticalOnSpikes) {
   // A realistic conv-forward shape: dense weights x binary spike columns,
-  // large enough that kAuto's sparse heuristic fires. Whatever path auto
-  // picks must agree with the pinned naive kernel bit-for-bit.
+  // large enough that gemm()'s sparse rule fires. Whatever path it picks
+  // must agree with the scalar dense kernel bit-for-bit.
   Rng rng(17);
   const int64_t m = 64, n = 256, k = 288;
   Tensor a = Tensor::randn({m, k}, rng);
+  GemmThreadsGuard threads(1);
   for (float density : {0.05F, 0.2F}) {
     Tensor b = Tensor::bernoulli({k, n}, rng, density);
-    Tensor c0 = Tensor::zeros({m, n});
-    Tensor ref =
-        run_gemm(GemmKernel::kNaive, false, m, n, k, 1.0F, a, b, 0.0F, c0);
-    Tensor out =
-        run_gemm(GemmKernel::kAuto, false, m, n, k, 1.0F, a, b, 0.0F, c0);
-    EXPECT_TRUE(bit_identical(ref, out)) << "density=" << density;
+    const Tensor ref =
+        dense_ref(false, m, n, k, 1.0F, a, b, Tensor::zeros({m, n}));
+    EXPECT_TRUE(bit_identical(ref, run_gemm(false, m, n, k, a, b)))
+        << "density=" << density;
   }
 }
 
 TEST(SpikePlaneGemmTest, SparseMatchesAcrossThreadCounts) {
+  // Spike-sparse B through gemm()'s own selection, with the row strips
+  // fanned out over the pool.
   Rng rng(19);
   const int64_t m = 32, n = 64, k = 128;
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor b = Tensor::bernoulli({k, n}, rng, 0.1F);
-  Tensor c0 = Tensor::zeros({m, n});
-  Tensor ref = run_gemm(GemmKernel::kSparse, false, m, n, k, 1.0F, a, b,
-                        0.0F, c0);
-  for (int threads : {2, 4}) {
+  const Tensor ref =
+      dense_ref(false, m, n, k, 1.0F, a, b, Tensor::zeros({m, n}));
+  for (int threads : {1, 2, 4}) {
     GemmThreadsGuard tguard(threads);
-    GemmKernelGuard kguard(GemmKernel::kSparse);
-    Tensor c = c0.clone();
-    gemm(false, false, m, n, k, 1.0F, a.data(), b.data(), 0.0F, c.data());
-    EXPECT_TRUE(bit_identical(ref, c)) << "threads=" << threads;
+    EXPECT_TRUE(bit_identical(ref, run_gemm(false, m, n, k, a, b)))
+        << "threads=" << threads;
   }
 }
 

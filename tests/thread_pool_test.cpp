@@ -1,7 +1,7 @@
 // Unit tests for the shared ThreadPool and a stress test pinning the GEMM
-// bit-identical guarantee: every (kernel, thread-count, transpose) combination
-// must produce exactly the same bytes, because each C element accumulates its
-// k contributions in the same order everywhere.
+// bit-identical guarantee: every (SIMD level, thread-count, transpose)
+// combination must produce exactly the same bytes, because each C element
+// accumulates its k contributions in the same order everywhere.
 
 #include <atomic>
 #include <cstring>
@@ -11,6 +11,7 @@
 
 #include "tensor/gemm.h"
 #include "tensor/random.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/common.h"
 #include "util/thread_pool.h"
@@ -114,7 +115,7 @@ TEST(ThreadPoolTest, GlobalParallelForWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM stress: serial vs pooled vs blocked must be bit-identical.
+// GEMM stress: serial vs pooled, scalar vs AVX2 must be bit-identical.
 
 struct GemmCase {
   bool trans_a;
@@ -136,12 +137,12 @@ bool bit_identical(const Tensor& x, const Tensor& y) {
                      static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
 }
 
-TEST(GemmStressTest, SerialPooledAndBlockedAreBitIdentical) {
+TEST(GemmStressTest, SerialPooledAndSimdLevelsAreBitIdentical) {
   const GemmCase cases[] = {{false, false, "nn"},
                             {false, true, "nt"},
                             {true, false, "tn"}};
-  // Odd shapes straddling the parallel and blocked thresholds; the last two
-  // are large enough to trigger both row fan-out and the blocked kernel.
+  // Odd shapes straddling the parallel threshold and the AVX2 panel, lane
+  // and 4-row tails; the last two are large enough for row fan-out.
   const int64_t shapes[][3] = {
       {1, 1, 1}, {3, 5, 7}, {17, 9, 33}, {33, 129, 65}, {65, 31, 129},
       {129, 67, 65}};
@@ -158,25 +159,25 @@ TEST(GemmStressTest, SerialPooledAndBlockedAreBitIdentical) {
       Tensor ref;
       {
         GemmThreadsGuard threads(1);
-        GemmKernelGuard kernel(GemmKernel::kNaive);
+        simd::LevelGuard level(simd::Level::kScalar);
         ref = run_gemm(tc, m, n, k, a, b);
       }
       for (int threads : {1, 2, 4}) {
-        for (GemmKernel kern :
-             {GemmKernel::kAuto, GemmKernel::kNaive, GemmKernel::kBlocked}) {
+        // kAvx2 clamps to the scalar tier on hosts without AVX2.
+        for (simd::Level lvl : {simd::Level::kScalar, simd::Level::kAvx2}) {
           GemmThreadsGuard tguard(threads);
-          GemmKernelGuard kguard(kern);
+          simd::LevelGuard lguard(lvl);
           Tensor out = run_gemm(tc, m, n, k, a, b);
           EXPECT_TRUE(bit_identical(ref, out))
               << tc.name << " m=" << m << " n=" << n << " k=" << k
               << " threads=" << threads
-              << " kernel=" << static_cast<int>(kern);
+              << " level=" << simd::level_name(simd::active_level());
         }
       }
     }
   }
   EXPECT_EQ(gemm_threads(), 1);
-  EXPECT_EQ(gemm_kernel(), GemmKernel::kAuto);
+  EXPECT_EQ(simd::active_level(), simd::detected_level());
 }
 
 }  // namespace

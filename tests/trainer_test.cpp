@@ -3,6 +3,11 @@
 // form AND after TT factorization in each mode; training time must order as
 // the paper reports (baseline slowest, HTT fastest).
 
+#include <algorithm>
+#include <limits>
+#include <memory>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "core/factorize.h"
@@ -121,33 +126,46 @@ TEST(TrainerTest, MergedModelKeepsAccuracy) {
 
 TEST(TrainerTest, BatchTimeOrderingMatchesPaper) {
   // Table II trend: baseline slower than STT; HTT fastest of the TT modes.
+  // These are ~30 ms wall-clock timings on a host that other test binaries
+  // share, so each mode's time is its minimum over interleaved rounds: a
+  // burst of outside load then hits one round of every mode instead of one
+  // whole mode.
   Rng rng(5);
   ModelConfig cfg = small_model_config();
   cfg.base_width = 16;
+  SyntheticImageDataset train = small_images(100, 8);
 
-  auto time_mode = [&](const char* which) {
-    ModulePtr net = make_ms_resnet18(cfg, rng);
-    if (std::string(which) != "dense") {
+  struct Mode {
+    ModulePtr net;
+    std::unique_ptr<Trainer> trainer;
+    double best_s = std::numeric_limits<double>::infinity();
+  };
+  auto make_mode = [&](std::optional<TTMode> tt) {
+    Mode mode{.net = make_ms_resnet18(cfg, rng)};
+    if (tt) {
       FactorizeOptions fopts;
       fopts.use_vbmf = false;
       fopts.rank_fraction = 0.25;
-      fopts.mode = std::string(which) == "stt" ? TTMode::kSTT
-                   : std::string(which) == "ptt" ? TTMode::kPTT
-                                                 : TTMode::kHTT;
-      if (fopts.mode == TTMode::kHTT) fopts.htt_schedule = {true, false};
-      factorize_network(*net, fopts, rng);
+      fopts.mode = *tt;
+      if (*tt == TTMode::kHTT) fopts.htt_schedule = {true, false};
+      factorize_network(*mode.net, fopts, rng);
     }
-    SyntheticImageDataset train = small_images(100, 8);
-    Trainer trainer(*net, train, train,
-                    {.epochs = 1, .batch_size = 8, .timesteps = 2, .seed = 7});
-    return trainer.time_batch(3);
+    mode.trainer = std::make_unique<Trainer>(
+        *mode.net, train, train,
+        TrainConfig{.epochs = 1, .batch_size = 8, .timesteps = 2, .seed = 7});
+    return mode;
   };
+  Mode dense = make_mode(std::nullopt);
+  Mode stt = make_mode(TTMode::kSTT);
+  Mode htt = make_mode(TTMode::kHTT);
 
-  const double t_dense = time_mode("dense");
-  const double t_stt = time_mode("stt");
-  const double t_htt = time_mode("htt");
-  EXPECT_LT(t_stt, t_dense);
-  EXPECT_LT(t_htt, t_stt * 1.15);  // HTT does strictly less work than STT
+  for (int round = 0; round < 5; ++round) {
+    for (Mode* mode : {&dense, &stt, &htt}) {
+      mode->best_s = std::min(mode->best_s, mode->trainer->time_batch(3));
+    }
+  }
+  EXPECT_LT(stt.best_s, dense.best_s);
+  EXPECT_LT(htt.best_s, stt.best_s * 1.15);  // HTT does strictly less work
 }
 
 TEST(TrainerTest, LearnsEventDataset) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs hygiene checker (runs in CI and as the `docs_check` ctest entry).
 
-Three passes over the repo:
+Four passes over the repo:
 
 1. Markdown link check: every relative link in README.md, ROADMAP.md,
    CHANGES.md and docs/**/*.md must resolve to an existing file or directory
@@ -13,6 +13,13 @@ Three passes over the repo:
 3. Snippet include check: every `#include "..."` inside a fenced code block
    of README.md or docs/**/*.md must name a header that exists under src/,
    so a snippet cannot keep teaching a header that was removed.
+4. Code-name check: inside the inline `backtick` spans of README.md and
+   docs/**/*.md (fenced blocks excluded), every camel-case name with an
+   inner capital (`SpikePlane`, `TTConv2d`, `kAffineLif`), every
+   `::`-qualified name (`simd::LevelGuard`, checked by its last part; `std::`
+   names skipped) and every `snake_case(` call (`set_gemm_threads(n)`) must
+   occur as a whole word in some file under src/, so the docs cannot keep
+   naming an API that was removed.
 
 Usage: check_docs.py [repo_root]   (exit 0 = clean, 1 = findings, printed
 one per line as `path: message`).
@@ -95,12 +102,57 @@ def check_snippet_includes(root: Path):
     return problems
 
 
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+QUALIFIED_RE = re.compile(r"\b\w+(?:::\w+)+")
+CAMEL_RE = re.compile(r"\b[A-Za-z][A-Za-z0-9]*\b")
+CALL_RE = re.compile(r"\b([a-z][a-z0-9]*(?:_[a-z0-9]+)+)\(")
+WORD_RE = re.compile(r"\w+")
+
+
+def span_names(span: str):
+    """Code names a backtick span refers to, in the three forms above."""
+    names = set()
+    for qualified in QUALIFIED_RE.findall(span):
+        parts = qualified.split("::")
+        if parts[0] != "std":
+            names.add(parts[-1])
+    for word in CAMEL_RE.findall(span):
+        if any(c.islower() for c in word) and any(c.isupper() for c in word[1:]):
+            names.add(word)
+    names.update(CALL_RE.findall(span))
+    return names
+
+
+def check_code_names(root: Path):
+    src_words = set()
+    for path in (root / "src").glob("**/*"):
+        if path.is_file():
+            src_words.update(WORD_RE.findall(path.read_text(encoding="utf-8")))
+    problems = []
+    checked = set()
+    for md in [root / "README.md", *sorted((root / "docs").glob("**/*.md"))]:
+        if not md.exists():
+            continue
+        text = FENCE_RE.sub("", md.read_text(encoding="utf-8"))
+        names = set()
+        for span in SPAN_RE.findall(text):
+            names |= span_names(span)
+        checked |= names
+        for name in sorted(names - src_words):
+            problems.append(
+                f"{md.relative_to(root)}: `{name}` names nothing under src/"
+            )
+    return problems, len(checked)
+
+
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
+    name_problems, n_names = check_code_names(root)
     problems = (
         check_markdown_links(root)
         + check_header_briefs(root)
         + check_snippet_includes(root)
+        + name_problems
     )
     for p in problems:
         print(p)
@@ -109,7 +161,8 @@ def main() -> int:
         return 1
     n_md = len(list(markdown_files(root)))
     n_h = len(list((root / "src").glob("**/*.h")))
-    print(f"check_docs: OK ({n_md} markdown files, {n_h} headers)")
+    print(f"check_docs: OK ({n_md} markdown files, {n_h} headers, "
+          f"{n_names} code names)")
     return 0
 
 
