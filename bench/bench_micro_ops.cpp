@@ -11,11 +11,16 @@
 //                 read at 90% spike sparsity (density 0.1) for the sparse
 //                 kernel.
 //   elemwise_*  — scalar vs AVX2 tiers of the axpy/adam/lif kernels.
-//   ttconv_*    — TTConv2d forward and forward+backward per mode.
+//   dense_conv_forward, ttconv_forward/<mode>, ttconv_train_step/<mode>
+//               — a dense 3x3 Conv2d forward, then TTConv2d forward and
+//                 forward+backward per mode, all through the shared conv
+//                 lowering (tensor/im2col.h).
 //   infer_run/* — batch-1 Engine::run on the statically planned workspace,
 //                 fresh per call and caller-reused; each row reports arena
-//                 acquisitions per call alongside p50, so "one allocation
-//                 per call" is a tracked number, not a comment.
+//                 acquisitions per call alongside p50, and the run HARD-fails
+//                 unless they read 2 (fresh) and 1 (reused; infer_fused/*
+//                 too), so "one allocation per call" is a gate, not a
+//                 comment.
 //   quant/*     — typed weight planes: bf16 dequant tiers, the int8 spike-
 //                 GEMM vs the f32 tiers at 90% sparsity, and the per-mode
 //                 weight footprint with HARD compression gates (int8 < 0.5x
@@ -244,12 +249,16 @@ void bench_planned_run(bench::Report& report) {
   const auto plan = planned.memory_plan(x.shape());
   Tensor ws;
 
+  // `allocs` is the arena traffic each variant must read: the result tensor,
+  // plus the workspace when the caller does not keep one. A regression (a
+  // kernel or conv epilogue allocating per call) fails the run itself.
   const struct {
     const char* tag;
     std::function<Tensor()> run;
+    double allocs;
   } variants[] = {
-      {"planned", [&] { return planned.run(x); }},
-      {"planned_reuse", [&] { return planned.run(x, ws); }},
+      {"planned", [&] { return planned.run(x); }, 2},
+      {"planned_reuse", [&] { return planned.run(x, ws); }, 1},
   };
   for (const auto& v : variants) {
     v.run();  // warm-up: plan cache, arena population, ws growth
@@ -270,6 +279,9 @@ void bench_planned_run(bench::Report& report) {
              static_cast<double>(plan->unplanned_floats) * 4);
     std::printf("  %-44s p50 %7.3f ms  %5.1f allocs/call\n", name.c_str(),
                 t.p50_s * 1e3, allocs_per_call);
+    TTSNN_CHECK(allocs_per_call == v.allocs,
+                name << " must read " << v.allocs << " allocs/call, got "
+                     << allocs_per_call);
   }
 }
 
@@ -329,6 +341,9 @@ void bench_fused_run(bench::Report& report) {
     std::printf("  %-44s p50 %7.3f ms  %5.1f allocs/call  %zu ops\n",
                 name.c_str(), t.p50_s * 1e3, allocs_per_call,
                 v.engine->num_ops());
+    // Reused workspace: the result tensor is the only allocation.
+    TTSNN_CHECK(allocs_per_call == 1,
+                name << " must read 1 alloc/call, got " << allocs_per_call);
   }
 }
 

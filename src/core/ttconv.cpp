@@ -270,15 +270,7 @@ void TTConv2d::describe(ShapeState& s, std::vector<LayerDesc>& out) const {
 
   auto emit = [&](const Conv2d::Options& o, const char* part, double util,
                   bool spike_in, int64_t ih, int64_t iw) -> ConvGeometry {
-    ConvGeometry g{.in_channels = o.in_channels,
-                   .in_h = ih,
-                   .in_w = iw,
-                   .kernel_h = o.kernel_h,
-                   .kernel_w = o.kernel_w,
-                   .stride_h = o.resolved_stride_h(),
-                   .stride_w = o.resolved_stride_w(),
-                   .pad_h = o.resolved_pad_h(),
-                   .pad_w = o.resolved_pad_w()};
+    const ConvGeometry g = o.geometry(ih, iw);
     LayerDesc d;
     d.kind = "ttconv";
     d.detail = mode + "." + part;

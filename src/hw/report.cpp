@@ -1,6 +1,5 @@
 #include "hw/report.h"
 
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -31,27 +30,6 @@ std::string format_energy_table(const std::vector<NamedReport>& rows,
         << std::setw(10) << r.milliseconds(clock_ghz) << "\n";
   }
   return oss.str();
-}
-
-std::string energy_csv(const std::vector<NamedReport>& rows) {
-  std::ostringstream oss;
-  oss << "design,mode,compute_pj,lif_pj,sram_pj,dram_pj,leakage_pj,total_pj,"
-         "cycles\n";
-  for (const NamedReport& row : rows) {
-    const EnergyReport& r = row.report;
-    oss << row.design << ',' << row.mode << ',' << r.compute_pj << ','
-        << r.lif_pj << ',' << r.sram_pj << ',' << r.dram_pj << ','
-        << r.leakage_pj << ',' << r.total_pj() << ',' << r.cycles << "\n";
-  }
-  return oss.str();
-}
-
-void write_energy_csv(const std::vector<NamedReport>& rows,
-                      const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  TTSNN_CHECK(out.is_open(), "cannot open " << path << " for writing");
-  out << energy_csv(rows);
-  TTSNN_CHECK(out.good(), "write failure on " << path);
 }
 
 }  // namespace ttsnn

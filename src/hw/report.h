@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file report.h
-/// Presentation helpers for EnergyReport results: aligned text tables and
-/// CSV export for plotting the Fig. 4 bar charts.
+/// Presentation helper for EnergyReport results: an aligned text table of
+/// named reports.
 
 #include <string>
 #include <vector>
@@ -21,13 +21,5 @@ struct NamedReport {
 /// energies in uJ and the ratio against the first row.
 std::string format_energy_table(const std::vector<NamedReport>& rows,
                                 double clock_ghz);
-
-/// CSV with header: design,mode,compute_pj,lif_pj,sram_pj,dram_pj,
-/// leakage_pj,total_pj,cycles.
-std::string energy_csv(const std::vector<NamedReport>& rows);
-
-/// Writes the CSV to a file (throws on I/O failure).
-void write_energy_csv(const std::vector<NamedReport>& rows,
-                      const std::string& path);
 
 }  // namespace ttsnn

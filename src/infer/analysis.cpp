@@ -63,19 +63,6 @@ void unify_shape(Shape& a, Shape& b, const Op& op, size_t index,
   }
 }
 
-ConvGeometry make_geometry(int64_t in_h, int64_t in_w,
-                           const Conv2d::Options& o) {
-  return ConvGeometry{.in_channels = o.in_channels,
-                      .in_h = in_h,
-                      .in_w = in_w,
-                      .kernel_h = o.kernel_h,
-                      .kernel_w = o.kernel_w,
-                      .stride_h = o.resolved_stride_h(),
-                      .stride_w = o.resolved_stride_w(),
-                      .pad_h = o.resolved_pad_h(),
-                      .pad_w = o.resolved_pad_w()};
-}
-
 /// Shape transfer of one dense convolution. Unifies the input's channel dim
 /// with the conv geometry in place; spatial extents propagate when known and
 /// are validated to produce a non-empty output.
@@ -95,7 +82,7 @@ Shape conv_out_shape(Shape& in, const Conv2d::Options& o, const Op& op,
       out[d] = kDimUnknown;
       continue;
     }
-    const ConvGeometry g = make_geometry(in[ci + 1], in[ci + 2], o);
+    const ConvGeometry g = o.geometry(in[ci + 1], in[ci + 2]);
     const int64_t extent = spatial == 0 ? g.out_h() : g.out_w();
     TTSNN_CHECK(extent > 0, "infer verify: " << op_where(op, index) << ": "
                                              << what
@@ -289,7 +276,7 @@ void split_counts(const TTConv2d::Options& tt, int64_t t_steps, const Op& op,
 /// for kAdd) are refined in place by unification. scratch/col are only
 /// accumulated for extents that are concrete — the symbolic compile-time
 /// pass gets shapes and diagnostics, the concrete planning pass additionally
-/// gets exact byte counts. The scratch enumeration must mirror the planned
+/// gets exact byte counts. The scratch enumeration must follow the planned
 /// executor's temp allocations (engine.cpp) order-for-order; the executor
 /// asserts it never overruns the budget computed here.
 struct OpFootprint {
@@ -304,17 +291,21 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     const int64_t n = sym_numel(s);
     if (known(n)) f.scratch += align_up(n);
   };
+  // The column matrix conv_forward (tensor/im2col.h) lowers each image
+  // into; one plan-wide block sized by the largest. Pointwise geometries
+  // read the input in place and need none.
   auto see_col = [&f](const Shape& s, const Conv2d::Options& o) {
     const int64_t h = s[s.size() - 2];
     const int64_t w = s[s.size() - 1];
     if (!known(h) || !known(w)) return;
-    const ConvGeometry g = make_geometry(h, w, o);
+    const ConvGeometry g = o.geometry(h, w);
     if (!g.pointwise()) f.col = std::max(f.col, g.col_rows() * g.col_cols());
   };
-  // Quantized-plane scratch of one conv branch, mirroring the executor's
-  // ctx.raw calls in run_conv: bf16 dequantizes the whole kernel into an f32
-  // buffer once per op call; int8 converts each lowered spike tile into a
-  // transposed u8 matrix (bytes packed into the float workspace).
+  // Quantized-plane scratch of one conv, taken by run_conv's ctx.raw calls
+  // after any kConvLif membrane plane: bf16 dequantizes the whole kernel
+  // into an f32 buffer once per op call; for int8, conv_forward converts
+  // each lowered spike tile into the transposed u8 matrix held here (bytes
+  // packed into the float workspace).
   auto see_plane = [&f](const WeightPlane& p, const Shape& s,
                         const Conv2d::Options& o) {
     if (!p.quantized()) return;
@@ -325,7 +316,7 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     const int64_t h = s[s.size() - 2];
     const int64_t w = s[s.size() - 1];
     if (!known(h) || !known(w)) return;
-    const ConvGeometry g = make_geometry(h, w, o);
+    const ConvGeometry g = o.geometry(h, w);
     f.scratch += align_up((g.col_rows() * g.col_cols() + 3) / 4);
   };
 
@@ -504,7 +495,8 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
                                    << "got " << shape_str(in));
       f.out = conv_out_shape(in, op.conv, op, index, "conv");
       see_col(in, op.conv);
-      // Membrane plane over the conv OUTPUT geometry, zeroed once per call.
+      // The LIF epilogue's membrane plane over the conv OUTPUT geometry,
+      // zeroed once per call.
       const int64_t n = sym_numel(f.out);
       if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
       see_plane(op.plane, in, op.conv);  // adds on top of the membrane

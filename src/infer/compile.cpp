@@ -51,10 +51,6 @@ int lower_conv(const Conv2d& conv, int in_reg, Builder& b) {
   op.out = b.fresh_reg();
   op.conv = conv.options();
   op.weight = conv.weight().value.clone();
-  if (op.conv.bias) {
-    op.bias = conv.bias().value.clone();
-    op.conv.bias = false;  // bias now lives in op.bias, not in the options
-  }
   op.label = conv_label(op.conv);
   return b.emit(std::move(op));
 }

@@ -68,33 +68,71 @@ struct PlannedCtx {
   }
 };
 
-/// Dense convolution over a folded-batch NCHW tensor. Mirrors
-/// conv2d_forward() exactly (same im2col lowering, same gemm calls in the
-/// same order) so outputs are bit-identical to the Module path; the only
-/// difference is where the column matrix and the output live. With a
-/// quantized `plane` the weight matrix instead comes from typed storage:
-/// bf16 dequantizes into scratch once per call and runs the identical f32
-/// gemm; int8 converts each lowered spike tile to transposed u8 and runs the
-/// integer spike-GEMM with per-channel rescale. The bias epilogue is shared
-/// by all three paths.
+/// run_conv's per-tile epilogue (ConvEpilogue, tensor/im2col.h). Without
+/// `lif` it adds bias[c] to every element of channel plane c — the `+=` of
+/// the unfused bias pass, so the bits match. With `lif` (kConvLif) it runs
+/// the LIF step in place on the tile while it is still cache-hot, the bias
+/// folded into the membrane input: image b = t*N + n steps sample n's
+/// membrane plane, and the lowering's ascending image order IS the
+/// recurrence order. lif_step_eval reads each element before writing the
+/// spike over it, so the pre-activation never reaches a second buffer.
+struct TileEpilogue {
+  const float* bias = nullptr;  ///< [channels], or null
+  const LIFNeuron::Options* lif = nullptr;
+  float* u_post = nullptr;  ///< [n, channels, hw] membrane planes (LIF only)
+  int64_t n = 1;            ///< samples per timestep (LIF only)
+  int64_t channels = 0;
+  int64_t hw = 0;
+};
+
+void run_tile_epilogue(void* ctx, int64_t image, float* tile) {
+  const TileEpilogue& e = *static_cast<const TileEpilogue*>(ctx);
+  if (e.lif == nullptr) {
+    for (int64_t c = 0; c < e.channels; ++c) {
+      float* plane = tile + c * e.hw;
+      const float bv = e.bias[c];
+      for (int64_t i = 0; i < e.hw; ++i) plane[i] += bv;
+    }
+    return;
+  }
+  const int64_t tile_floats = e.channels * e.hw;
+  float* u = e.u_post + (image % e.n) * tile_floats;
+  const float tau = e.lif->tau;
+  const float v_th = e.lif->v_th;
+  const bool zero_reset = e.lif->reset == ResetMode::kZero;
+  if (e.bias == nullptr) {
+    simd::lif_step_eval(tile_floats, tau, v_th, zero_reset, tile, u, tile);
+    return;
+  }
+  // Per channel plane, so the scalar bias folds into the membrane input
+  // with the exact expression of the unfused bias pass.
+  for (int64_t c = 0; c < e.channels; ++c) {
+    simd::lif_step_eval_bias(e.hw, tau, v_th, zero_reset, e.bias[c],
+                             tile + c * e.hw, u + c * e.hw, tile + c * e.hw);
+  }
+}
+
+/// Dense convolution over a folded-batch NCHW tensor through conv_forward
+/// (tensor/im2col.h), the lowering conv2d_forward() runs, so exact plans are
+/// bit-identical to the Module path by construction; the column matrix, the
+/// output and every scratch buffer come from the plan. A quantized `plane`
+/// supplies the weights from typed storage: bf16 dequantizes into scratch
+/// once per call and runs the identical f32 GEMM; int8 runs the integer
+/// spike-GEMM with per-channel rescale. A defined `bias` and a non-null
+/// `lif` (kConvLif, rank-5 input) become the per-tile epilogue.
 Tensor run_conv(const Tensor& x, const Tensor& weight, const WeightPlane& plane,
                 const Conv2d::Options& opts, const Tensor& bias,
-                PlannedCtx& ctx, bool is_out) {
+                PlannedCtx& ctx, bool is_out,
+                const LIFNeuron::Options* lif = nullptr) {
   TTSNN_CHECK(x.dim() >= 3, "infer conv: input must be at least [C, H, W]");
+  TTSNN_CHECK(lif == nullptr || x.dim() == 5,
+              "infer conv+lif expects [T, N, C, H, W], got "
+                  << shape_str(x.shape()));
   TTSNN_CHECK(x.size(-3) == opts.in_channels,
               "infer conv: channel mismatch, expected "
                   << opts.in_channels << " in " << shape_str(x.shape()));
-  const int64_t chw = x.size(-3) * x.size(-2) * x.size(-1);
-  const int64_t batch = x.numel() / chw;
-  ConvGeometry g{.in_channels = opts.in_channels,
-                 .in_h = x.size(-2),
-                 .in_w = x.size(-1),
-                 .kernel_h = opts.kernel_h,
-                 .kernel_w = opts.kernel_w,
-                 .stride_h = opts.resolved_stride_h(),
-                 .stride_w = opts.resolved_stride_w(),
-                 .pad_h = opts.resolved_pad_h(),
-                 .pad_w = opts.resolved_pad_w()};
+  const int64_t batch = x.numel() / (x.size(-3) * x.size(-2) * x.size(-1));
+  const ConvGeometry g = opts.geometry(x.size(-2), x.size(-1));
   const int64_t oh = g.out_h();
   const int64_t ow = g.out_w();
   TTSNN_CHECK(oh > 0 && ow > 0, "infer conv: output would be empty for input "
@@ -105,59 +143,39 @@ Tensor run_conv(const Tensor& x, const Tensor& weight, const WeightPlane& plane,
   out_shape[out_shape.size() - 1] = ow;
   // gemm beta=0 writes every element of the (possibly uninitialized) output.
   Tensor out = is_out ? ctx.out(out_shape) : ctx.temp(out_shape);
-  // Pointwise stride-1 convolutions (the TT w1/w4 cores and most shortcut
-  // projections) skip the im2col lowering entirely: the column matrix would
-  // be an identity copy of the input plane, so gemm reads it in place. The
-  // gemm call is argument-for-argument identical, keeping bit-identity.
-  const bool pointwise = g.pointwise();
-  float* col = pointwise ? nullptr : ctx.col(g.col_rows() * g.col_cols());
-  // Typed-plane weight resolution (scratch terms mirrored by see_plane in
-  // analysis.cpp). The f32 path reads the tensor in place — its gemm call is
-  // argument-for-argument the historical one.
-  const float* wf = nullptr;
-  uint8_t* su8 = nullptr;
+  float* col = g.pointwise() ? nullptr : ctx.col(g.col_rows() * g.col_cols());
+  TileEpilogue epi{.bias = bias.defined() ? bias.data() : nullptr,
+                   .lif = lif,
+                   .channels = opts.out_channels,
+                   .hw = oh * ow};
+  if (lif != nullptr) {
+    epi.n = x.size(1);
+    const int64_t membrane = epi.n * opts.out_channels * oh * ow;
+    epi.u_post = ctx.raw(membrane);
+    std::fill(epi.u_post, epi.u_post + membrane, 0.0F);
+  }
+  // Typed-plane weight resolution, after the membrane plane: the scratch
+  // term order of op_footprint (analysis.cpp). The f32 path reads the tensor
+  // in place.
+  ConvWeights w{.out_channels = opts.out_channels};
+  uint8_t* u8 = nullptr;
   if (!plane.quantized()) {
-    wf = weight.data();
+    w.f32 = weight.data();
   } else if (plane.dtype() == WeightDtype::kBf16) {
     float* wbuf = ctx.raw(plane.numel());
     simd::dequant_bf16(plane.numel(), plane.bf16_data(), wbuf);
-    wf = wbuf;
+    w.f32 = wbuf;
   } else {
-    su8 = reinterpret_cast<uint8_t*>(
+    w.s8 = plane.int8_data();
+    w.scales = plane.scales().data();
+    u8 = reinterpret_cast<uint8_t*>(
         ctx.raw((g.col_rows() * g.col_cols() + 3) / 4));
   }
-  const int64_t in_stride = opts.in_channels * g.in_h * g.in_w;
-  const int64_t out_stride = opts.out_channels * oh * ow;
-  for (int64_t b = 0; b < batch; ++b) {
-    const float* lowered;
-    if (pointwise) {
-      lowered = x.data() + b * in_stride;
-    } else {
-      im2col(x.data() + b * in_stride, g, col);
-      lowered = col;
-    }
-    if (su8 != nullptr) {
-      simd::spikes_to_u8_t(g.col_rows(), g.col_cols(), lowered, su8);
-      simd::gemm_s8_wxs(opts.out_channels, g.col_cols(), g.col_rows(),
-                        plane.int8_data(), su8, plane.scales().data(),
-                        out.data() + b * out_stride);
-    } else {
-      gemm(false, false, opts.out_channels, g.col_cols(), g.col_rows(), 1.0F,
-           wf, lowered, 0.0F, out.data() + b * out_stride);
-    }
+  ConvEpilogue epilogue;
+  if (epi.bias != nullptr || lif != nullptr) {
+    epilogue = {.fn = run_tile_epilogue, .ctx = &epi};
   }
-  if (bias.defined()) {
-    const float* bb = bias.data();
-    float* o = out.data();
-    const int64_t hw = oh * ow;
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t c = 0; c < opts.out_channels; ++c) {
-        float* plane = o + (b * opts.out_channels + c) * hw;
-        const float bv = bb[c];
-        for (int64_t i = 0; i < hw; ++i) plane[i] += bv;
-      }
-    }
-  }
+  conv_forward(g, batch, x.data(), w, col, u8, out.data(), epilogue);
   return out;
 }
 
@@ -246,27 +264,48 @@ Tensor run_tt_htt_merged(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   return out;
 }
 
-/// Inference BatchNorm. Statistics are the stored running stats, so this is
-/// an affine per (timestep, channel) — the arithmetic matches BatchNorm's
-/// eval forward expression-for-expression for bit identity. simd::affine
-/// reads each element before writing the same position, so the output may
-/// alias the input (the planned executor's in-place path).
-Tensor run_affine(const Op& op, const Tensor& x, PlannedCtx& ctx) {
-  TTSNN_CHECK(x.dim() == 5, "infer affine expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
+/// Inference BatchNorm — an affine per (timestep, channel) from the stored
+/// running stats — alone (kAffine), feeding one LIF step (kAffineLif), or
+/// feeding the residual join with x2 (kAffineAdd; op.fused_swap is the
+/// original operand order). One ch / t / b loop nest, so each (ch, b) plane
+/// sees t ascending — the membrane recurrence order. Each per-plane kernel
+/// matches its unfused counterpart expression-for-expression (simd::affine
+/// is BatchNorm's eval forward), so the bits agree, and reads every element
+/// of x before writing the same position, so the output may alias x (the
+/// in-place path) — never x2, whose storage group the analysis keeps apart.
+Tensor run_affine(const Op& op, const Tensor& x, const Tensor& x2,
+                  PlannedCtx& ctx) {
+  const char* what = op_kind_name(op.kind);
+  TTSNN_CHECK(x.dim() == 5, "infer " << what << " expects [T, N, C, H, W], got "
+                                     << shape_str(x.shape()));
+  if (op.kind == Op::Kind::kAffineAdd) {
+    TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
+                                      << shape_str(x.shape()) << " vs "
+                                      << shape_str(x2.shape()));
+  }
   const int64_t t_steps = x.size(0);
   const int64_t n = x.size(1);
   const int64_t c = x.size(2);
   const int64_t hw = x.size(3) * x.size(4);
-  TTSNN_CHECK(c == op.bn_gamma.numel(), "infer affine channel mismatch: " << c);
+  TTSNN_CHECK(c == op.bn_gamma.numel(),
+              "infer " << what << " channel mismatch: " << c);
   const bool tebn = op.bn_mode == BatchNorm::Mode::kTebn;
   if (tebn) {
     TTSNN_CHECK(t_steps == op.bn_timesteps,
-                "infer affine: TEBN configured for T=" << op.bn_timesteps
-                                                       << ", got " << t_steps);
+                "infer " << what << ": TEBN configured for T="
+                         << op.bn_timesteps << ", got " << t_steps);
   }
   Tensor out = ctx.out(x.shape());
+  float* u_post = nullptr;
+  if (op.kind == Op::Kind::kAffineLif) {
+    u_post = ctx.raw(x.numel() / t_steps);
+    std::fill(u_post, u_post + x.numel() / t_steps, 0.0F);
+  }
+  const float tau = op.lif.tau;
+  const float v_th = op.lif.v_th;
+  const bool zero_reset = op.lif.reset == ResetMode::kZero;
   const float* in = x.data();
+  const float* other = op.kind == Op::Kind::kAffineAdd ? x2.data() : nullptr;
   float* y = out.data();
   const float* g_gamma = op.bn_gamma.data();
   const float* g_beta = op.bn_beta.data();
@@ -280,9 +319,20 @@ Tensor run_affine(const Op& op, const Tensor& x, PlannedCtx& ctx) {
       const float eff = g_gamma[ch] * op.bn_alpha_vth * step;
       for (int64_t b = 0; b < n; ++b) {
         const int64_t base = (((t * n + b) * c) + ch) * hw;
-        // Same affine kernel (and therefore the same bits) as BatchNorm's
-        // eval forward.
-        simd::affine(hw, mu, inv_std, eff, g_beta[ch], in + base, y + base);
+        switch (op.kind) {
+          case Op::Kind::kAffineLif:
+            simd::affine_lif_step(hw, mu, inv_std, eff, g_beta[ch], tau, v_th,
+                                  zero_reset, in + base,
+                                  u_post + (b * c + ch) * hw, y + base);
+            break;
+          case Op::Kind::kAffineAdd:
+            simd::affine_add(hw, mu, inv_std, eff, g_beta[ch], op.fused_swap,
+                             in + base, other + base, y + base);
+            break;
+          default:
+            simd::affine(hw, mu, inv_std, eff, g_beta[ch], in + base, y + base);
+            break;
+        }
       }
     }
   }
@@ -409,143 +459,6 @@ Tensor run_add(const Tensor& x, const Tensor& x2, PlannedCtx& ctx) {
   return out;
 }
 
-/// Fused conv + LIF epilogue. Each folded-batch tile b = t*N + n is lowered
-/// and multiplied exactly as run_conv (same im2col, same gemm arguments), but
-/// the LIF step — with the conv bias folded into its membrane input — runs in
-/// place on the tile straight after its gemm, while it is still cache-hot.
-/// The tile loop ascends t-major, which IS the membrane recurrence order, and
-/// lif_step_eval reads each element before writing the spike over it, so the
-/// pre-activation never reaches a second buffer.
-Tensor run_conv_lif(const Op& op, const Tensor& x, PlannedCtx& ctx) {
-  const Conv2d::Options& opts = op.conv;
-  TTSNN_CHECK(x.dim() == 5, "infer conv+lif expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
-  TTSNN_CHECK(x.size(2) == opts.in_channels,
-              "infer conv+lif: channel mismatch, expected "
-                  << opts.in_channels << " in " << shape_str(x.shape()));
-  ConvGeometry g{.in_channels = opts.in_channels,
-                 .in_h = x.size(3),
-                 .in_w = x.size(4),
-                 .kernel_h = opts.kernel_h,
-                 .kernel_w = opts.kernel_w,
-                 .stride_h = opts.resolved_stride_h(),
-                 .stride_w = opts.resolved_stride_w(),
-                 .pad_h = opts.resolved_pad_h(),
-                 .pad_w = opts.resolved_pad_w()};
-  const int64_t oh = g.out_h();
-  const int64_t ow = g.out_w();
-  TTSNN_CHECK(oh > 0 && ow > 0,
-              "infer conv+lif: output would be empty for input "
-                  << shape_str(x.shape()));
-  const int64_t t_steps = x.size(0);
-  const int64_t n = x.size(1);
-  Tensor out = ctx.out({t_steps, n, opts.out_channels, oh, ow});
-  const bool pointwise = g.pointwise();
-  float* col = pointwise ? nullptr : ctx.col(g.col_rows() * g.col_cols());
-  const int64_t in_stride = opts.in_channels * g.in_h * g.in_w;
-  const int64_t out_stride = opts.out_channels * oh * ow;
-  float* u_post = ctx.raw(n * out_stride);
-  std::fill(u_post, u_post + n * out_stride, 0.0F);
-  // Typed-plane resolution after the membrane buffer, matching the scratch
-  // term order of op_footprint's kConvLif case.
-  const float* wf = nullptr;
-  uint8_t* su8 = nullptr;
-  if (!op.plane.quantized()) {
-    wf = op.weight.data();
-  } else if (op.plane.dtype() == WeightDtype::kBf16) {
-    float* wbuf = ctx.raw(op.plane.numel());
-    simd::dequant_bf16(op.plane.numel(), op.plane.bf16_data(), wbuf);
-    wf = wbuf;
-  } else {
-    su8 = reinterpret_cast<uint8_t*>(
-        ctx.raw((g.col_rows() * g.col_cols() + 3) / 4));
-  }
-  const int64_t hw = oh * ow;
-  const float tau = op.lif.tau;
-  const float v_th = op.lif.v_th;
-  const bool zero_reset = op.lif.reset == ResetMode::kZero;
-  for (int64_t b = 0; b < t_steps * n; ++b) {
-    const float* lowered;
-    if (pointwise) {
-      lowered = x.data() + b * in_stride;
-    } else {
-      im2col(x.data() + b * in_stride, g, col);
-      lowered = col;
-    }
-    float* tile = out.data() + b * out_stride;
-    if (su8 != nullptr) {
-      simd::spikes_to_u8_t(g.col_rows(), g.col_cols(), lowered, su8);
-      simd::gemm_s8_wxs(opts.out_channels, g.col_cols(), g.col_rows(),
-                        op.plane.int8_data(), su8, op.plane.scales().data(),
-                        tile);
-    } else {
-      gemm(false, false, opts.out_channels, g.col_cols(), g.col_rows(), 1.0F,
-           wf, lowered, 0.0F, tile);
-    }
-    float* u = u_post + (b % n) * out_stride;
-    if (op.bias.defined()) {
-      // Per channel plane, so the scalar bias folds into the membrane input
-      // with the exact expression of the unfused bias pass.
-      const float* bb = op.bias.data();
-      for (int64_t c = 0; c < opts.out_channels; ++c) {
-        simd::lif_step_eval_bias(hw, tau, v_th, zero_reset, bb[c],
-                                 tile + c * hw, u + c * hw, tile + c * hw);
-      }
-    } else {
-      simd::lif_step_eval(out_stride, tau, v_th, zero_reset, tile, u, tile);
-    }
-  }
-  return out;
-}
-
-/// Fused inference-BN affine + LIF step. Same ch / t / b loop nest as
-/// run_affine; each (ch, b) plane sees t ascending — the membrane recurrence
-/// order. affine_lif_step reads x before writing the spike at the same
-/// position, so the output may alias the input (the in-place path).
-Tensor run_affine_lif(const Op& op, const Tensor& x, PlannedCtx& ctx) {
-  TTSNN_CHECK(x.dim() == 5, "infer affine+lif expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
-  const int64_t t_steps = x.size(0);
-  const int64_t n = x.size(1);
-  const int64_t c = x.size(2);
-  const int64_t hw = x.size(3) * x.size(4);
-  TTSNN_CHECK(c == op.bn_gamma.numel(),
-              "infer affine+lif channel mismatch: " << c);
-  const bool tebn = op.bn_mode == BatchNorm::Mode::kTebn;
-  if (tebn) {
-    TTSNN_CHECK(t_steps == op.bn_timesteps,
-                "infer affine+lif: TEBN configured for T="
-                    << op.bn_timesteps << ", got " << t_steps);
-  }
-  Tensor out = ctx.out(x.shape());
-  float* u_post = ctx.raw(x.numel() / t_steps);
-  std::fill(u_post, u_post + x.numel() / t_steps, 0.0F);
-  const float tau = op.lif.tau;
-  const float v_th = op.lif.v_th;
-  const bool zero_reset = op.lif.reset == ResetMode::kZero;
-  const float* in = x.data();
-  float* y = out.data();
-  const float* g_gamma = op.bn_gamma.data();
-  const float* g_beta = op.bn_beta.data();
-  const float* g_mean = op.bn_mean.data();
-  const float* g_inv_std = op.bn_inv_std.data();
-  for (int64_t ch = 0; ch < c; ++ch) {
-    const float inv_std = g_inv_std[ch];
-    const float mu = g_mean[ch];
-    for (int64_t t = 0; t < t_steps; ++t) {
-      const float step = tebn ? op.bn_step_scale[t] : 1.0F;
-      const float eff = g_gamma[ch] * op.bn_alpha_vth * step;
-      for (int64_t b = 0; b < n; ++b) {
-        const int64_t base = (((t * n + b) * c) + ch) * hw;
-        simd::affine_lif_step(hw, mu, inv_std, eff, g_beta[ch], tau, v_th,
-                              zero_reset, in + base,
-                              u_post + (b * c + ch) * hw, y + base);
-      }
-    }
-  }
-  return out;
-}
-
 /// Fused residual join + LIF step: one pass per timestep, u = tau * u_post +
 /// (x + 1*x2). The output may alias x (never x2 — the analysis keeps in2's
 /// storage group separate from the in-place group).
@@ -569,52 +482,6 @@ Tensor run_add_lif(const Op& op, const Tensor& x, const Tensor& x2,
   return out;
 }
 
-/// Fused inference-BN affine + residual join: x is the affine's input, x2 the
-/// other add operand, op.fused_swap the original operand order. The output
-/// may alias x (never x2).
-Tensor run_affine_add(const Op& op, const Tensor& x, const Tensor& x2,
-                      PlannedCtx& ctx) {
-  TTSNN_CHECK(x.dim() == 5, "infer affine+add expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
-  TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
-                                    << shape_str(x.shape()) << " vs "
-                                    << shape_str(x2.shape()));
-  const int64_t t_steps = x.size(0);
-  const int64_t n = x.size(1);
-  const int64_t c = x.size(2);
-  const int64_t hw = x.size(3) * x.size(4);
-  TTSNN_CHECK(c == op.bn_gamma.numel(),
-              "infer affine+add channel mismatch: " << c);
-  const bool tebn = op.bn_mode == BatchNorm::Mode::kTebn;
-  if (tebn) {
-    TTSNN_CHECK(t_steps == op.bn_timesteps,
-                "infer affine+add: TEBN configured for T="
-                    << op.bn_timesteps << ", got " << t_steps);
-  }
-  Tensor out = ctx.out(x.shape());
-  const float* in = x.data();
-  const float* other = x2.data();
-  float* y = out.data();
-  const float* g_gamma = op.bn_gamma.data();
-  const float* g_beta = op.bn_beta.data();
-  const float* g_mean = op.bn_mean.data();
-  const float* g_inv_std = op.bn_inv_std.data();
-  for (int64_t ch = 0; ch < c; ++ch) {
-    const float inv_std = g_inv_std[ch];
-    const float mu = g_mean[ch];
-    for (int64_t t = 0; t < t_steps; ++t) {
-      const float step = tebn ? op.bn_step_scale[t] : 1.0F;
-      const float eff = g_gamma[ch] * op.bn_alpha_vth * step;
-      for (int64_t b = 0; b < n; ++b) {
-        const int64_t base = (((t * n + b) * c) + ch) * hw;
-        simd::affine_add(hw, mu, inv_std, eff, g_beta[ch], op.fused_swap,
-                         in + base, other + base, y + base);
-      }
-    }
-  }
-  return out;
-}
-
 Tensor exec_op(const Op& op, const Tensor& x, const Tensor& x2,
                PlannedCtx& ctx) {
   switch (op.kind) {
@@ -625,7 +492,9 @@ Tensor exec_op(const Op& op, const Tensor& x, const Tensor& x2,
     case Op::Kind::kTTHtt:
       return run_tt_htt_merged(op, x, ctx);
     case Op::Kind::kAffine:
-      return run_affine(op, x, ctx);
+    case Op::Kind::kAffineLif:
+    case Op::Kind::kAffineAdd:
+      return run_affine(op, x, x2, ctx);
     case Op::Kind::kLif:
       return run_lif(op, x, ctx);
     case Op::Kind::kAvgPool:
@@ -639,13 +508,10 @@ Tensor exec_op(const Op& op, const Tensor& x, const Tensor& x2,
     case Op::Kind::kAdd:
       return run_add(x, x2, ctx);
     case Op::Kind::kConvLif:
-      return run_conv_lif(op, x, ctx);
-    case Op::Kind::kAffineLif:
-      return run_affine_lif(op, x, ctx);
+      return run_conv(x, op.weight, op.plane, op.conv, op.bias, ctx, true,
+                      &op.lif);
     case Op::Kind::kAddLif:
       return run_add_lif(op, x, x2, ctx);
-    case Op::Kind::kAffineAdd:
-      return run_affine_add(op, x, x2, ctx);
   }
   TTSNN_CHECK(false, "unreachable");
   return {};

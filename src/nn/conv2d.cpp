@@ -1,7 +1,5 @@
 #include "nn/conv2d.h"
 
-#include "tensor/gemm.h"
-#include "tensor/ops.h"
 #include "tensor/random.h"
 
 namespace ttsnn {
@@ -26,6 +24,14 @@ Shape output_shape(const Tensor& x, int64_t out_c, int64_t oh, int64_t ow) {
   return s;
 }
 
+/// A column-matrix buffer for the lowering; none for a pointwise geometry,
+/// whose GEMMs read the input plane in place.
+Tensor col_buffer(const ConvGeometry& g) {
+  return g.pointwise() ? Tensor() : Tensor::empty({g.col_rows(), g.col_cols()});
+}
+
+float* data_or_null(Tensor& t) { return t.defined() ? t.data() : nullptr; }
+
 }  // namespace
 
 Conv2d::Conv2d(Options opts, Rng& rng) : opts_(opts) {
@@ -37,9 +43,6 @@ Conv2d::Conv2d(Options opts, Rng& rng) : opts_(opts) {
       kaiming_normal({opts_.out_channels, opts_.in_channels, opts_.kernel_h,
                       opts_.kernel_w},
                      fan_in, rng));
-  if (opts_.bias) {
-    bias_ = Parameter("conv.bias", Tensor::zeros({opts_.out_channels}));
-  }
 }
 
 Conv2d::Conv2d(Options opts, Tensor weight) : opts_(opts) {
@@ -48,35 +51,12 @@ Conv2d::Conv2d(Options opts, Tensor weight) : opts_(opts) {
               "Conv2d explicit weight shape " << shape_str(weight.shape())
                                               << " does not match options");
   weight_ = Parameter("conv.weight", std::move(weight));
-  if (opts_.bias) {
-    bias_ = Parameter("conv.bias", Tensor::zeros({opts_.out_channels}));
-  }
-}
-
-ConvGeometry Conv2d::geometry(int64_t in_h, int64_t in_w) const {
-  return ConvGeometry{.in_channels = opts_.in_channels,
-                      .in_h = in_h,
-                      .in_w = in_w,
-                      .kernel_h = opts_.kernel_h,
-                      .kernel_w = opts_.kernel_w,
-                      .stride_h = opts_.resolved_stride_h(),
-                      .stride_w = opts_.resolved_stride_w(),
-                      .pad_h = opts_.resolved_pad_h(),
-                      .pad_w = opts_.resolved_pad_w()};
 }
 
 Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
                       const Conv2d::Options& opts) {
   const int64_t batch = folded_batch(x, opts.in_channels, "conv2d_forward");
-  ConvGeometry g{.in_channels = opts.in_channels,
-                 .in_h = x.size(-2),
-                 .in_w = x.size(-1),
-                 .kernel_h = opts.kernel_h,
-                 .kernel_w = opts.kernel_w,
-                 .stride_h = opts.resolved_stride_h(),
-                 .stride_w = opts.resolved_stride_w(),
-                 .pad_h = opts.resolved_pad_h(),
-                 .pad_w = opts.resolved_pad_w()};
+  const ConvGeometry g = opts.geometry(x.size(-2), x.size(-1));
   const int64_t oh = g.out_h();
   const int64_t ow = g.out_w();
   TTSNN_CHECK(oh > 0 && ow > 0, "conv2d output would be empty for input "
@@ -84,28 +64,10 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   // Both buffers are fully overwritten (im2col writes every column entry,
   // the gemm runs with beta = 0), so skip the zero-fill.
   Tensor out = Tensor::empty(output_shape(x, opts.out_channels, oh, ow));
-  // Pointwise stride-1 convolutions — the TT w1/w4 cores, half the factorized
-  // pipeline — skip the im2col lowering: the column matrix would be an
-  // identity copy of the input plane, so gemm reads the plane in place. The
-  // gemm call is argument-for-argument identical, keeping bit-identity (the
-  // inference engine applies the same skip).
-  const bool pointwise = g.pointwise();
-  Tensor col =
-      pointwise ? Tensor() : Tensor::empty({g.col_rows(), g.col_cols()});
-  const int64_t in_stride = opts.in_channels * g.in_h * g.in_w;
-  const int64_t out_stride = opts.out_channels * oh * ow;
-  for (int64_t b = 0; b < batch; ++b) {
-    const float* lowered;
-    if (pointwise) {
-      lowered = x.data() + b * in_stride;
-    } else {
-      im2col(x.data() + b * in_stride, g, col.data());
-      lowered = col.data();
-    }
-    // out_b [O, oh*ow] = W [O, C*kh*kw] * col
-    gemm(false, false, opts.out_channels, g.col_cols(), g.col_rows(), 1.0F,
-         weight.data(), lowered, 0.0F, out.data() + b * out_stride);
-  }
+  Tensor col = col_buffer(g);
+  conv_forward(g, batch, x.data(),
+               {.out_channels = opts.out_channels, .f32 = weight.data()},
+               data_or_null(col), nullptr, out.data());
   return out;
 }
 
@@ -113,56 +75,20 @@ Tensor conv2d_backward(const Tensor& x, const Tensor& weight,
                        const Conv2d::Options& opts, const Tensor& grad_out,
                        Tensor& weight_grad) {
   const int64_t batch = folded_batch(x, opts.in_channels, "conv2d_backward");
-  ConvGeometry g{.in_channels = opts.in_channels,
-                 .in_h = x.size(-2),
-                 .in_w = x.size(-1),
-                 .kernel_h = opts.kernel_h,
-                 .kernel_w = opts.kernel_w,
-                 .stride_h = opts.resolved_stride_h(),
-                 .stride_w = opts.resolved_stride_w(),
-                 .pad_h = opts.resolved_pad_h(),
-                 .pad_w = opts.resolved_pad_w()};
-  const int64_t oh = g.out_h();
-  const int64_t ow = g.out_w();
-  TTSNN_CHECK(grad_out.size(-3) == opts.out_channels &&
-                  grad_out.size(-2) == oh && grad_out.size(-1) == ow,
+  const ConvGeometry g = opts.geometry(x.size(-2), x.size(-1));
+  TTSNN_CHECK(grad_out.dim() >= 3 && grad_out.size(-3) == opts.out_channels &&
+                  grad_out.size(-2) == g.out_h() &&
+                  grad_out.size(-1) == g.out_w() &&
+                  grad_out.numel() == batch * opts.out_channels * g.col_cols(),
               "conv2d_backward grad shape " << shape_str(grad_out.shape())
-                                            << " mismatch");
+                                            << " mismatch for input "
+                                            << shape_str(x.shape()));
   Tensor grad_in(x.shape());  // zero-filled: col2im accumulates into it
-  // Pointwise stride-1 case: im2col is an identity copy and col2im an
-  // identity accumulate, so dW reads the input plane in place and dcol is
-  // written straight into the (zeroed) grad_in plane with beta=1 — the same
-  // products accumulate in the same order, so the bits match the lowered
-  // path.
-  const bool pointwise = g.pointwise();
-  Tensor col =
-      pointwise ? Tensor() : Tensor::empty({g.col_rows(), g.col_cols()});
-  Tensor dcol =
-      pointwise ? Tensor() : Tensor::empty({g.col_rows(), g.col_cols()});
-  const int64_t in_stride = opts.in_channels * g.in_h * g.in_w;
-  const int64_t out_stride = opts.out_channels * oh * ow;
-  for (int64_t b = 0; b < batch; ++b) {
-    const float* gout = grad_out.data() + b * out_stride;
-    const float* lowered;
-    if (pointwise) {
-      lowered = x.data() + b * in_stride;
-    } else {
-      im2col(x.data() + b * in_stride, g, col.data());
-      lowered = col.data();
-    }
-    // dW += g_b [O, ohw] * col^T  -> [O, C*kh*kw]
-    gemm(false, true, opts.out_channels, g.col_rows(), g.col_cols(), 1.0F,
-         gout, lowered, 1.0F, weight_grad.data());
-    // dcol = W^T [Ckk, O] * g_b [O, ohw]
-    if (pointwise) {
-      gemm(true, false, g.col_rows(), g.col_cols(), opts.out_channels, 1.0F,
-           weight.data(), gout, 1.0F, grad_in.data() + b * in_stride);
-    } else {
-      gemm(true, false, g.col_rows(), g.col_cols(), opts.out_channels, 1.0F,
-           weight.data(), gout, 0.0F, dcol.data());
-      col2im(dcol.data(), g, grad_in.data() + b * in_stride);
-    }
-  }
+  Tensor col = col_buffer(g);
+  Tensor dcol = col_buffer(g);
+  conv_backward(g, batch, opts.out_channels, x.data(), weight.data(),
+                grad_out.data(), data_or_null(col), data_or_null(dcol),
+                weight_grad.data(), grad_in.data());
   return grad_in;
 }
 
@@ -170,37 +96,21 @@ Tensor Conv2d::forward(const Tensor& x) {
   // Only the backward pass consumes the cached input; eval-mode forwards
   // (and any stale cache from a previous training step) keep nothing alive.
   cached_input_ = training_ ? x : Tensor();
-  Tensor out = conv2d_forward(x, weight_.value, opts_);
-  if (opts_.bias) {
-    // Bias broadcasts over the folded batch; reuse the NCHW helper by viewing
-    // output as [B, O, oh, ow].
-    const int64_t b = out.numel() / (out.size(-3) * out.size(-2) * out.size(-1));
-    Tensor flat = out.reshape({b, out.size(-3), out.size(-2), out.size(-1)});
-    out = add_channel_bias(flat, bias_.value).reshape(out.shape());
-  }
-  return out;
+  return conv2d_forward(x, weight_.value, opts_);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   TTSNN_CHECK(cached_input_.defined(), "Conv2d::backward before forward");
-  if (opts_.bias) {
-    const int64_t b = grad_out.numel() /
-                      (grad_out.size(-3) * grad_out.size(-2) * grad_out.size(-1));
-    Tensor flat = grad_out.reshape(
-        {b, grad_out.size(-3), grad_out.size(-2), grad_out.size(-1)});
-    bias_.grad.add_(sum_nhw(flat));
-  }
   return conv2d_backward(cached_input_, weight_.value, opts_, grad_out,
                          weight_.grad);
 }
 
 void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
   out.push_back(&weight_);
-  if (opts_.bias) out.push_back(&bias_);
 }
 
 void Conv2d::describe(ShapeState& s, std::vector<LayerDesc>& out) const {
-  ConvGeometry g = geometry(s.h, s.w);
+  const ConvGeometry g = opts_.geometry(s.h, s.w);
   LayerDesc d;
   d.kind = "conv";
   d.in_c = opts_.in_channels;
@@ -213,8 +123,7 @@ void Conv2d::describe(ShapeState& s, std::vector<LayerDesc>& out) const {
   d.out_h = g.out_h();
   d.out_w = g.out_w();
   d.params = opts_.out_channels * opts_.in_channels * opts_.kernel_h *
-                 opts_.kernel_w +
-             (opts_.bias ? opts_.out_channels : 0);
+             opts_.kernel_w;
   d.macs = d.out_c * d.out_h * d.out_w * opts_.in_channels * opts_.kernel_h *
            opts_.kernel_w;
   out.push_back(d);

@@ -3,7 +3,9 @@
 /// \file conv2d.h
 /// Standard dense 2-D convolution over spike or analog activations.
 /// Supports asymmetric kernels — the TT sub-convolutions are (1,1), (kh,1),
-/// (1,kw) shaped — with independent stride and padding per axis.
+/// (1,kw) shaped — with independent stride and padding per axis. Both
+/// directions run the shared lowering in tensor/im2col.h, the same loop the
+/// inference engine's conv ops run.
 
 #include "nn/module.h"
 #include "tensor/im2col.h"
@@ -25,12 +27,25 @@ class Conv2d : public Module {
     /// -1 selects "same" padding for odd kernels: (k - 1) / 2.
     int64_t pad_h = -1;
     int64_t pad_w = -1;
-    bool bias = false;
 
     int64_t resolved_stride_h() const { return stride_h >= 0 ? stride_h : stride; }
     int64_t resolved_stride_w() const { return stride_w >= 0 ? stride_w : stride; }
     int64_t resolved_pad_h() const { return pad_h >= 0 ? pad_h : (kernel_h - 1) / 2; }
     int64_t resolved_pad_w() const { return pad_w >= 0 ? pad_w : (kernel_w - 1) / 2; }
+
+    /// Lowering geometry for an input of spatial size in_h x in_w — the one
+    /// place the options resolve into a ConvGeometry.
+    ConvGeometry geometry(int64_t in_h, int64_t in_w) const {
+      return ConvGeometry{.in_channels = in_channels,
+                          .in_h = in_h,
+                          .in_w = in_w,
+                          .kernel_h = kernel_h,
+                          .kernel_w = kernel_w,
+                          .stride_h = resolved_stride_h(),
+                          .stride_w = resolved_stride_w(),
+                          .pad_h = resolved_pad_h(),
+                          .pad_w = resolved_pad_w()};
+    }
   };
 
   /// Kaiming-normal initialized convolution.
@@ -48,21 +63,16 @@ class Conv2d : public Module {
   const Options& options() const { return opts_; }
   Parameter& weight() { return weight_; }
   const Parameter& weight() const { return weight_; }
-  Parameter& bias() { return bias_; }
-  const Parameter& bias() const { return bias_; }
-
-  /// Geometry for a given input spatial size.
-  ConvGeometry geometry(int64_t in_h, int64_t in_w) const;
 
  private:
   Options opts_;
   Parameter weight_;  ///< [O, C, kh, kw]
-  Parameter bias_;    ///< [O] when opts_.bias
   Tensor cached_input_;
 };
 
 /// Stateless functional convolution used by both Conv2d and TTConv2d.
 /// x: [..., C, H, W] (leading dims folded into batch), weight [O, C, kh, kw].
+/// Runs conv_forward (tensor/im2col.h) over arena buffers.
 Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
                       const Conv2d::Options& opts);
 

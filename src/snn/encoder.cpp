@@ -17,21 +17,4 @@ Tensor direct_code(const Tensor& images, int64_t timesteps) {
   return out;
 }
 
-Tensor rate_code(const Tensor& images, int64_t timesteps, Rng& rng) {
-  TTSNN_CHECK(images.dim() == 4, "rate_code expects [N, C, H, W]");
-  Shape out_shape = images.shape();
-  out_shape.insert(out_shape.begin(), timesteps);
-  Tensor out(out_shape);
-  const int64_t n = images.numel();
-  const float* src = images.data();
-  float* dst = out.data();
-  for (int64_t t = 0; t < timesteps; ++t) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float p = std::clamp(src[i], 0.0F, 1.0F);
-      dst[t * n + i] = rng.bernoulli(p) ? 1.0F : 0.0F;
-    }
-  }
-  return out;
-}
-
 }  // namespace ttsnn

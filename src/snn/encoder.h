@@ -3,8 +3,7 @@
 /// \file encoder.h
 /// Input coding for SNNs. The paper uses direct coding [31]: the analog
 /// image is presented unchanged at every timestep and the first Conv+BN+LIF
-/// stack acts as a learned spike encoder. Rate coding is provided as an
-/// alternative for experiments.
+/// stack acts as a learned spike encoder.
 
 #include "tensor/tensor.h"
 
@@ -12,9 +11,5 @@ namespace ttsnn {
 
 /// Replicates a static batch [N, C, H, W] across T timesteps -> [T, N, C, H, W].
 Tensor direct_code(const Tensor& images, int64_t timesteps);
-
-/// Bernoulli rate coding: spike with probability proportional to pixel
-/// intensity (clamped to [0, 1]) independently per timestep.
-Tensor rate_code(const Tensor& images, int64_t timesteps, Rng& rng);
 
 }  // namespace ttsnn

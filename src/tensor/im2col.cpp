@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "tensor/gemm.h"
+#include "tensor/simd.h"
+
 namespace ttsnn {
 
 void im2col(const float* image, const ConvGeometry& g, float* col) {
@@ -53,6 +56,59 @@ void col2im(const float* col, const ConvGeometry& g, float* image_grad) {
           }
         }
       }
+    }
+  }
+}
+
+void conv_forward(const ConvGeometry& g, int64_t batch, const float* x,
+                  const ConvWeights& w, float* col, uint8_t* u8, float* out,
+                  ConvEpilogue epilogue) {
+  const bool pointwise = g.pointwise();
+  const int64_t in_stride = g.in_channels * g.in_h * g.in_w;
+  const int64_t out_stride = w.out_channels * g.col_cols();
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* lowered = x + b * in_stride;
+    if (!pointwise) {
+      im2col(lowered, g, col);
+      lowered = col;
+    }
+    float* tile = out + b * out_stride;
+    if (w.f32 != nullptr) {
+      gemm(false, false, w.out_channels, g.col_cols(), g.col_rows(), 1.0F,
+           w.f32, lowered, 0.0F, tile);
+    } else {
+      simd::spikes_to_u8_t(g.col_rows(), g.col_cols(), lowered, u8);
+      simd::gemm_s8_wxs(w.out_channels, g.col_cols(), g.col_rows(), w.s8, u8,
+                        w.scales, tile);
+    }
+    if (epilogue.fn != nullptr) epilogue.fn(epilogue.ctx, b, tile);
+  }
+}
+
+void conv_backward(const ConvGeometry& g, int64_t batch, int64_t out_channels,
+                   const float* x, const float* w, const float* grad_out,
+                   float* col, float* dcol, float* grad_w, float* grad_in) {
+  const bool pointwise = g.pointwise();
+  const int64_t in_stride = g.in_channels * g.in_h * g.in_w;
+  const int64_t out_stride = out_channels * g.col_cols();
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* gout = grad_out + b * out_stride;
+    const float* lowered = x + b * in_stride;
+    if (!pointwise) {
+      im2col(lowered, g, col);
+      lowered = col;
+    }
+    // dW += g_b [O, ohw] * col^T  -> [O, C*kh*kw]
+    gemm(false, true, out_channels, g.col_rows(), g.col_cols(), 1.0F, gout,
+         lowered, 1.0F, grad_w);
+    // dcol = W^T [Ckk, O] * g_b [O, ohw]
+    if (pointwise) {
+      gemm(true, false, g.col_rows(), g.col_cols(), out_channels, 1.0F, w,
+           gout, 1.0F, grad_in + b * in_stride);
+    } else {
+      gemm(true, false, g.col_rows(), g.col_cols(), out_channels, 1.0F, w,
+           gout, 0.0F, dcol);
+      col2im(dcol, g, grad_in + b * in_stride);
     }
   }
 }

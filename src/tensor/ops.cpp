@@ -47,15 +47,6 @@ Tensor relu(const Tensor& a) {
   return out;
 }
 
-Tensor relu_mask(const Tensor& a) {
-  Tensor out = empty_like(a);
-  const float* s = a.data();
-  float* p = out.data();
-  const int64_t n = out.numel();
-  for (int64_t i = 0; i < n; ++i) p[i] = s[i] > 0.0F ? 1.0F : 0.0F;
-  return out;
-}
-
 Tensor exp(const Tensor& a) {
   Tensor out = a.clone();
   out.exp_();
@@ -131,92 +122,6 @@ std::vector<int64_t> argmax_rows(const Tensor& logits) {
   for (int64_t i = 0; i < n; ++i) {
     const float* row = src + i * c;
     out[static_cast<size_t>(i)] = std::distance(row, std::max_element(row, row + c));
-  }
-  return out;
-}
-
-Tensor add_channel_bias(const Tensor& x, const Tensor& bias) {
-  TTSNN_CHECK(x.dim() == 4, "add_channel_bias expects NCHW");
-  const int64_t n = x.size(0), c = x.size(1), hw = x.size(2) * x.size(3);
-  TTSNN_CHECK(bias.numel() == c, "bias size mismatch");
-  Tensor out = x.clone();
-  float* p = out.data();
-  const float* b = bias.data();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < c; ++j) {
-      float* row = p + (i * c + j) * hw;
-      const float bj = b[j];
-      for (int64_t k = 0; k < hw; ++k) row[k] += bj;
-    }
-  }
-  return out;
-}
-
-Tensor sum_nhw(const Tensor& x) {
-  TTSNN_CHECK(x.dim() == 4, "sum_nhw expects NCHW");
-  const int64_t n = x.size(0), c = x.size(1), hw = x.size(2) * x.size(3);
-  Tensor out({c});
-  float* dst = out.data();
-  const float* src = x.data();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < c; ++j) {
-      const float* row = src + (i * c + j) * hw;
-      double s = 0.0;
-      for (int64_t k = 0; k < hw; ++k) s += row[k];
-      dst[j] += static_cast<float>(s);
-    }
-  }
-  return out;
-}
-
-Tensor global_avg_pool(const Tensor& x) {
-  TTSNN_CHECK(x.dim() == 4, "global_avg_pool expects NCHW");
-  const int64_t n = x.size(0), c = x.size(1), hw = x.size(2) * x.size(3);
-  TTSNN_CHECK(hw > 0, "empty spatial dims");
-  Tensor out = Tensor::empty({n, c});
-  const float* src = x.data();
-  float* dst = out.data();
-  for (int64_t i = 0; i < n * c; ++i) {
-    const float* row = src + i * hw;
-    double s = 0.0;
-    for (int64_t k = 0; k < hw; ++k) s += row[k];
-    dst[i] = static_cast<float>(s / static_cast<double>(hw));
-  }
-  return out;
-}
-
-Tensor global_avg_pool_backward(const Tensor& grad, int64_t h, int64_t w) {
-  TTSNN_CHECK(grad.dim() == 2, "gap backward expects [n, c]");
-  const int64_t n = grad.size(0), c = grad.size(1), hw = h * w;
-  Tensor out = Tensor::empty({n, c, h, w});
-  const float* src = grad.data();
-  float* dst = out.data();
-  const float inv = 1.0F / static_cast<float>(hw);
-  for (int64_t i = 0; i < n * c; ++i) {
-    const float g = src[i] * inv;
-    float* row = dst + i * hw;
-    for (int64_t k = 0; k < hw; ++k) row[k] = g;
-  }
-  return out;
-}
-
-Tensor cat0(const std::vector<Tensor>& parts) {
-  TTSNN_CHECK(!parts.empty(), "cat0 of nothing");
-  Shape out_shape = parts.front().shape();
-  int64_t rows = 0;
-  for (const Tensor& t : parts) {
-    TTSNN_CHECK(t.dim() == parts.front().dim(), "cat0 rank mismatch");
-    for (int64_t d = 1; d < t.dim(); ++d) {
-      TTSNN_CHECK(t.size(d) == parts.front().size(d), "cat0 trailing dim mismatch");
-    }
-    rows += t.size(0);
-  }
-  out_shape[0] = rows;
-  Tensor out = Tensor::empty(out_shape);
-  float* dst = out.data();
-  for (const Tensor& t : parts) {
-    std::copy(t.data(), t.data() + t.numel(), dst);
-    dst += t.numel();
   }
   return out;
 }

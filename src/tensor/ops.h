@@ -23,8 +23,6 @@ Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float s);
 Tensor relu(const Tensor& a);
-/// Derivative mask of relu evaluated at pre-activation a: 1 where a > 0.
-Tensor relu_mask(const Tensor& a);
 Tensor exp(const Tensor& a);
 Tensor sqrt(const Tensor& a);
 
@@ -47,19 +45,6 @@ void log_softmax_rows(const float* src, int64_t n, int64_t c, float* dst);
 Tensor softmax(const Tensor& logits);
 /// Per-row argmax of a [n, c] matrix -> length-n vector of class indices.
 std::vector<int64_t> argmax_rows(const Tensor& logits);
-
-// ---- NCHW helpers ----------------------------------------------------------
-/// Adds a per-channel bias [c] to an NCHW tensor.
-Tensor add_channel_bias(const Tensor& x, const Tensor& bias);
-/// Sums an NCHW tensor over (n, h, w) -> per-channel vector [c].
-Tensor sum_nhw(const Tensor& x);
-/// Global average pool: NCHW -> [n, c].
-Tensor global_avg_pool(const Tensor& x);
-/// Backward of global_avg_pool: grad [n, c] -> NCHW with h*w spread.
-Tensor global_avg_pool_backward(const Tensor& grad, int64_t h, int64_t w);
-
-/// Concatenate along dim 0 (all tensors must agree on trailing dims).
-Tensor cat0(const std::vector<Tensor>& parts);
 
 // ---- timestep gather/scatter (the HTT schedule split) ----------------------
 /// Gathers dim-0 rows listed in idx into a new tensor; empty idx returns an

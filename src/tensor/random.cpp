@@ -11,10 +11,4 @@ Tensor kaiming_normal(Shape shape, int64_t fan_in, Rng& rng) {
   return t;
 }
 
-Tensor xavier_uniform(Shape shape, int64_t fan_in, int64_t fan_out, Rng& rng) {
-  TTSNN_CHECK(fan_in > 0 && fan_out > 0, "xavier_uniform fans must be positive");
-  const float a = std::sqrt(6.0F / static_cast<float>(fan_in + fan_out));
-  return Tensor::uniform(std::move(shape), rng, -a, a);
-}
-
 }  // namespace ttsnn

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file random.h
-/// Weight initializers. Conventions match the PyTorch defaults the paper's
-/// released training code relies on.
+/// Weight initializer. The convention matches the PyTorch default the
+/// paper's released training code relies on.
 
 #include "tensor/tensor.h"
 
@@ -10,8 +10,5 @@ namespace ttsnn {
 
 /// Kaiming-normal initialization: N(0, sqrt(2 / fan_in)).
 Tensor kaiming_normal(Shape shape, int64_t fan_in, Rng& rng);
-
-/// Xavier-uniform initialization: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
-Tensor xavier_uniform(Shape shape, int64_t fan_in, int64_t fan_out, Rng& rng);
 
 }  // namespace ttsnn

@@ -62,7 +62,7 @@ TEST(Conv2dTest, AsymmetricKernelShapes) {
 
 TEST(Conv2dTest, GradCheckInputAndWeights) {
   Rng rng(4);
-  Conv2d::Options o{.in_channels = 2, .out_channels = 3, .bias = true};
+  Conv2d::Options o{.in_channels = 2, .out_channels = 3};
   Conv2d conv(o, rng);
   Tensor x = Tensor::randn({1, 2, 2, 5, 5}, rng);
   Tensor w = Tensor::randn({1, 2, 3, 5, 5}, rng);
@@ -79,6 +79,18 @@ TEST(Conv2dTest, GradCheckStridedAsymmetric) {
   Tensor w = Tensor::randn({1, 1, 2, 4, 4}, rng);
   check_input_grad(conv, x, w);
   check_param_grads(conv, x, w);
+}
+
+TEST(Conv2dTest, BackwardRejectsGradOfAnotherBatch) {
+  // The lowering walks grad_out per input image, so a gradient with fewer
+  // folded images than the input must be refused, not read past its end.
+  Rng rng(8);
+  Conv2d::Options o{.in_channels = 2, .out_channels = 3};
+  Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
+  Tensor w = Tensor::randn({3, 2, 3, 3}, rng);
+  Tensor dw(w.shape());
+  Tensor g = Tensor::randn({1, 3, 5, 5}, rng);
+  EXPECT_THROW(conv2d_backward(x, w, o, g, dw), Error);
 }
 
 TEST(Conv2dTest, DescribeComputesMacsAndParams) {

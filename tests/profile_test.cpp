@@ -1,8 +1,5 @@
 // Spike-profiling + energy-report tests: measured LIF densities feed the HW
-// workload (training <-> hardware loop), and report formatting round-trips.
-
-#include <cstdio>
-#include <fstream>
+// workload (training <-> hardware loop), and the energy table formats.
 
 #include <gtest/gtest.h>
 
@@ -80,32 +77,6 @@ TEST(ReportTest, TableContainsAllRowsAndRatio) {
   EXPECT_NE(table.find("PTT"), std::string::npos);
   EXPECT_NE(table.find("1.000"), std::string::npos);  // self-ratio
   EXPECT_NE(table.find("0.750"), std::string::npos);  // 3/4 ratio
-}
-
-TEST(ReportTest, CsvRoundTripsNumbers) {
-  EnergyReport r;
-  r.compute_pj = 1.5;
-  r.lif_pj = 2.5;
-  r.sram_pj = 3.5;
-  r.dram_pj = 4.5;
-  r.leakage_pj = 5.5;
-  r.cycles = 42;
-  std::string csv = energy_csv({{"proposed", "HTT", r}});
-  EXPECT_NE(csv.find("proposed,HTT,1.5,2.5,3.5,4.5,5.5,17.5,42"),
-            std::string::npos);
-}
-
-TEST(ReportTest, WriteCsvCreatesFile) {
-  EnergyReport r;
-  r.compute_pj = 1.0;
-  const std::string path = ::testing::TempDir() + "/energy.csv";
-  write_energy_csv({{"d", "m", r}}, path);
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("design,mode"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(ReportTest, EmptyTableThrows) {

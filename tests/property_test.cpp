@@ -39,7 +39,7 @@ TEST_P(ConvGeometrySweep, ForwardShapeAndGradCheck) {
   Conv2d conv(o, rng);
   Tensor x = Tensor::randn({1, 1, 2, hw, hw}, rng);
   Tensor y = conv.forward(x);
-  ConvGeometry g = conv.geometry(hw, hw);
+  const ConvGeometry g = o.geometry(hw, hw);
   EXPECT_EQ(y.size(-2), g.out_h());
   EXPECT_EQ(y.size(-1), g.out_w());
 

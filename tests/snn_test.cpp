@@ -25,16 +25,6 @@ TEST(EncoderTest, DirectCodeReplicatesFrames) {
   }
 }
 
-TEST(EncoderTest, RateCodeMatchesIntensity) {
-  Rng rng(2);
-  Tensor img = Tensor::full({1, 1, 50, 50}, 0.3F);
-  Tensor seq = rate_code(img, 8, rng);
-  EXPECT_NEAR(seq.density(), 0.3, 0.02);
-  for (int64_t i = 0; i < seq.numel(); ++i) {
-    EXPECT_TRUE(seq[i] == 0.0F || seq[i] == 1.0F);
-  }
-}
-
 TEST(LossTest, CeSumLossOnConfidentLogits) {
   // Strongly correct logits -> small loss; strongly wrong -> large loss.
   Tensor good({1, 1, 3}, {10.0F, 0.0F, 0.0F});

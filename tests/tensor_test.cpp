@@ -175,14 +175,11 @@ TEST(OpsTest, AddSubMulScale) {
   EXPECT_FLOAT_EQ(scale(a, 3.0F)[0], 3.0F);
 }
 
-TEST(OpsTest, ReluAndMask) {
+TEST(OpsTest, Relu) {
   Tensor a({4}, {-1, 0, 2, -3});
   Tensor r = relu(a);
   EXPECT_FLOAT_EQ(r[0], 0.0F);
   EXPECT_FLOAT_EQ(r[2], 2.0F);
-  Tensor m = relu_mask(a);
-  EXPECT_FLOAT_EQ(m[1], 0.0F);
-  EXPECT_FLOAT_EQ(m[2], 1.0F);
 }
 
 TEST(OpsTest, MatmulAgainstHandComputed) {
@@ -304,38 +301,6 @@ TEST(OpsTest, ArgmaxRows) {
   EXPECT_EQ(idx[1], 0);
 }
 
-TEST(OpsTest, ChannelBiasBroadcasts) {
-  Tensor x = Tensor::zeros({1, 2, 2, 2});
-  Tensor bias({2}, {1, 2});
-  Tensor y = add_channel_bias(x, bias);
-  EXPECT_FLOAT_EQ(y.at({0, 0, 1, 1}), 1.0F);
-  EXPECT_FLOAT_EQ(y.at({0, 1, 0, 0}), 2.0F);
-}
-
-TEST(OpsTest, SumNhwPerChannel) {
-  Tensor x = Tensor::ones({2, 3, 2, 2});
-  Tensor s = sum_nhw(x);
-  EXPECT_EQ(s.shape(), (Shape{3}));
-  EXPECT_FLOAT_EQ(s[0], 8.0F);
-}
-
-TEST(OpsTest, GlobalAvgPoolAndBackward) {
-  Tensor x({1, 1, 2, 2}, {1, 2, 3, 4});
-  Tensor y = global_avg_pool(x);
-  EXPECT_FLOAT_EQ(y[0], 2.5F);
-  Tensor g({1, 1}, {4.0F});
-  Tensor gx = global_avg_pool_backward(g, 2, 2);
-  EXPECT_FLOAT_EQ(gx.at({0, 0, 1, 1}), 1.0F);
-}
-
-TEST(OpsTest, Cat0Concatenates) {
-  Tensor a = Tensor::ones({2, 3});
-  Tensor b = Tensor::zeros({1, 3});
-  Tensor c = cat0({a, b});
-  EXPECT_EQ(c.shape(), (Shape{3, 3}));
-  EXPECT_FLOAT_EQ(c.at({2, 0}), 0.0F);
-}
-
 TEST(Im2ColTest, IdentityKernelReproducesImage) {
   ConvGeometry g{.in_channels = 2, .in_h = 3, .in_w = 3};
   Rng rng(2);
@@ -433,14 +398,6 @@ TEST(RandomTest, KaimingVarianceMatchesFanIn) {
   Tensor w = kaiming_normal({20000}, fan_in, rng);
   const double var = w.norm() * w.norm() / 20000.0;
   EXPECT_NEAR(var, 2.0 / fan_in, 0.2 * 2.0 / fan_in);
-}
-
-TEST(RandomTest, XavierBoundsRespected) {
-  Rng rng(22);
-  Tensor w = xavier_uniform({1000}, 10, 20, rng);
-  const float a = std::sqrt(6.0F / 30.0F);
-  EXPECT_LE(w.max_value(), a);
-  EXPECT_GE(w.min_value(), -a);
 }
 
 }  // namespace

@@ -65,26 +65,45 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<int64_t>(1, 2)));
 
 TEST(TTConvTest, ParallelBranchesMatchSerial) {
-  Rng rng(4);
-  TTConv2d::Options base{.in_channels = 6, .out_channels = 6, .kernel = 3,
-                         .stride = 1, .rank = 4, .mode = TTMode::kPTT};
-  TTConv2d::Options par = base;
-  par.parallel_branches = true;
-  base.parallel_branches = false;
+  // The two strip branches run as pool tasks, each through the shared conv
+  // lowering with its own buffers, so the output and every gradient must
+  // match the serial run bit for bit — in PTT, on an HTT {1,0} schedule and
+  // on a stride-2 HTT layer.
+  struct Case {
+    const char* name;
+    TTMode mode;
+    int64_t stride;
+    std::vector<bool> full_step;
+  };
+  const Case cases[] = {{"PTT", TTMode::kPTT, 1, {}},
+                        {"HTT {1,0}", TTMode::kHTT, 1, {true, false}},
+                        {"HTT {1,0} stride 2", TTMode::kHTT, 2, {true, false}}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(4);
+    TTConv2d::Options base{.in_channels = 6, .out_channels = 6, .kernel = 3,
+                           .stride = c.stride, .rank = 4, .mode = c.mode,
+                           .full_step = c.full_step,
+                           .parallel_branches = false};
+    TTConv2d::Options par = base;
+    par.parallel_branches = true;
 
-  TTConv2d serial(base, rng);
-  TTConv2d parallel(par, serial.cores());
-  Tensor x = Tensor::randn({2, 2, 6, 8, 8}, rng);
-  Tensor ys = serial.forward(x);
-  Tensor yp = parallel.forward(x);
-  EXPECT_LT(max_abs_diff(ys, yp), 1e-6);
+    TTConv2d serial(base, rng);
+    TTConv2d parallel(par, serial.cores());
+    Tensor x = Tensor::randn({2, 2, 6, 8, 8}, rng);
+    Tensor ys = serial.forward(x);
+    Tensor yp = parallel.forward(x);
+    EXPECT_EQ(max_abs_diff(ys, yp), 0.0);
 
-  Tensor g = Tensor::randn(ys.shape(), rng);
-  Tensor gs = serial.backward(g);
-  Tensor gp = parallel.backward(g);
-  EXPECT_LT(max_abs_diff(gs, gp), 1e-5);
-  EXPECT_LT(max_abs_diff(serial.w2().grad, parallel.w2().grad), 1e-4);
-  EXPECT_LT(max_abs_diff(serial.w3().grad, parallel.w3().grad), 1e-4);
+    Tensor g = Tensor::randn(ys.shape(), rng);
+    Tensor gs = serial.backward(g);
+    Tensor gp = parallel.backward(g);
+    EXPECT_EQ(max_abs_diff(gs, gp), 0.0);
+    EXPECT_EQ(max_abs_diff(serial.w1().grad, parallel.w1().grad), 0.0);
+    EXPECT_EQ(max_abs_diff(serial.w2().grad, parallel.w2().grad), 0.0);
+    EXPECT_EQ(max_abs_diff(serial.w3().grad, parallel.w3().grad), 0.0);
+    EXPECT_EQ(max_abs_diff(serial.w4().grad, parallel.w4().grad), 0.0);
+  }
 }
 
 TEST(TTConvTest, HttHalfStepsSkipStrips) {
