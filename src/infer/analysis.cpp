@@ -161,6 +161,14 @@ void check_op_fields(const Op& op, size_t i) {
     case Op::Kind::kConv:
     case Op::Kind::kConvLif:
       check_conv_weight(op.weight, op.plane, op.conv, op, i, "conv weight");
+      if (!op.tt.full_step.empty()) {
+        check_conv_weight(op.half_kernel, op.half_plane, op.half_conv, op, i,
+                          "merged half-step kernel");
+        TTSNN_CHECK(op.conv.out_channels == op.half_conv.out_channels,
+                    "infer verify: " << op_where(op, i)
+                                     << ": full/half kernels disagree on "
+                                     << "output channels");
+      }
       if (op.bias.defined()) {
         TTSNN_CHECK(op.bias.numel() == op.conv.out_channels,
                     "infer verify: " << op_where(op, i) << ": bias has "
@@ -177,16 +185,6 @@ void check_op_fields(const Op& op, size_t i) {
         check_weight4(op.w4, op.tt_w4_half_opts, op, i,
                       "TT half-step core w4");
       }
-      break;
-    case Op::Kind::kTTHtt:
-      check_conv_weight(op.full_kernel, op.plane, op.conv, op, i,
-                        "merged full-step kernel");
-      check_conv_weight(op.half_kernel, op.half_plane, op.half_conv, op, i,
-                        "merged half-step kernel");
-      TTSNN_CHECK(op.conv.out_channels == op.half_conv.out_channels,
-                  "infer verify: " << op_where(op, i)
-                                   << ": full/half kernels disagree on output "
-                                   << "channels");
       break;
     case Op::Kind::kAffine:
     case Op::Kind::kAffineLif:
@@ -254,22 +252,14 @@ void check_op_fields(const Op& op, size_t i) {
   }
 }
 
-/// Counts full/half steps of an HTT schedule for a concrete T, validating
-/// the schedule covers every step.
-void split_counts(const TTConv2d::Options& tt, int64_t t_steps, const Op& op,
-                  size_t index, int64_t& full, int64_t& half) {
-  full = t_steps;
-  half = 0;
-  if (tt.mode != TTMode::kHTT || tt.full_step.empty()) return;
-  TTSNN_CHECK(t_steps <= static_cast<int64_t>(tt.full_step.size()),
+/// An HTT schedule must cover every timestep once T is concrete (an empty
+/// schedule runs every step full).
+void check_schedule(const Op& op, size_t index, int64_t t_steps) {
+  const std::vector<bool>& s = op.tt.full_step;
+  if (!known(t_steps) || s.empty()) return;
+  TTSNN_CHECK(t_steps <= static_cast<int64_t>(s.size()),
               "infer verify: " << op_where(op, index) << ": HTT schedule has "
-                               << tt.full_step.size() << " entries for T="
-                               << t_steps);
-  full = 0;
-  for (int64_t t = 0; t < t_steps; ++t) {
-    full += tt.full_step[static_cast<size_t>(t)] ? 1 : 0;
-  }
-  half = t_steps - full;
+                               << s.size() << " entries for T=" << t_steps);
 }
 
 /// Combined shape transfer + resource footprint of one op. `in` (and `in2`
@@ -301,11 +291,11 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     const ConvGeometry g = o.geometry(h, w);
     if (!g.pointwise()) f.col = std::max(f.col, g.col_rows() * g.col_cols());
   };
-  // Quantized-plane scratch of one conv, taken by run_conv's ctx.raw calls
-  // after any kConvLif membrane plane: bf16 dequantizes the whole kernel
-  // into an f32 buffer once per op call; for int8, conv_forward converts
-  // each lowered spike tile into the transposed u8 matrix held here (bytes
-  // packed into the float workspace).
+  // Quantized-plane scratch of one conv kernel, taken by the engine's
+  // resolve_kernel after any kConvLif membrane plane: bf16 dequantizes the
+  // whole kernel into an f32 buffer once per op call; for int8,
+  // conv_forward converts each lowered spike tile into the transposed u8
+  // matrix held here (bytes packed into the float workspace).
   auto see_plane = [&f](const WeightPlane& p, const Shape& s,
                         const Conv2d::Options& o) {
     if (!p.quantized()) return;
@@ -322,10 +312,36 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
 
   switch (op.kind) {
     case Op::Kind::kConv:
+    case Op::Kind::kConvLif: {
+      // A merged HTT conv picks its full or half kernel per timestep.
+      const bool htt = !op.tt.full_step.empty();
+      const bool lif = op.kind == Op::Kind::kConvLif;
+      TTSNN_CHECK((!htt && !lif) || in.size() == 5,
+                  "infer verify: " << op_where(op, index) << ": "
+                                   << op_kind_name(op.kind)
+                                   << " expects [T, N, C, H, W], got "
+                                   << shape_str(in));
       f.out = conv_out_shape(in, op.conv, op, index, "conv");
       see_col(in, op.conv);
+      if (htt) {
+        Shape half = conv_out_shape(in, op.half_conv, op, index,
+                                    "merged half-step conv");
+        unify_shape(f.out, half, op, index, "HTT full/half-step outputs");
+        see_col(in, op.half_conv);
+        check_schedule(op, index, in[0]);
+      }
+      if (lif) {
+        // The LIF epilogue's membrane plane over the conv OUTPUT geometry,
+        // zeroed once per call.
+        const int64_t n = sym_numel(f.out);
+        if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
+      }
+      // On top of the membrane: the full kernel's plane scratch, then the
+      // half kernel's.
       see_plane(op.plane, in, op.conv);
+      if (htt) see_plane(op.half_plane, in, op.half_conv);
       break;
+    }
 
     case Op::Kind::kTTExact: {
       Shape o1 = conv_out_shape(in, op.tt_w1_opts, op, index, "TT core w1");
@@ -361,105 +377,32 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
                       "infer verify: " << op_where(op, index)
                                        << ": HTT expects [T, N, C, H, W], got "
                                        << shape_str(in));
+          check_schedule(op, index, o1[0]);
+          // Full steps run the PTT path through one-step w2/w3 buffers the
+          // executor reuses; every step's w4 writes its slice of the output.
+          Shape step = o1;
+          step[0] = 1;
+          Shape a =
+              conv_out_shape(step, op.tt_w2_opts, op, index, "TT core w2");
+          see_col(step, op.tt_w2_opts);
+          Shape b =
+              conv_out_shape(step, op.tt_w3_opts, op, index, "TT core w3");
+          see_col(step, op.tt_w3_opts);
+          unify_shape(a, b, op, index, "PTT branch outputs");
+          Shape y_full =
+              conv_out_shape(a, op.tt_w4_opts, op, index, "TT core w4");
+          see_col(a, op.tt_w4_opts);
+          f.out = conv_out_shape(o1, op.tt_w4_half_opts, op, index,
+                                 "TT half-step core w4");
+          see_col(o1, op.tt_w4_half_opts);
+          y_full[0] = f.out[0];
+          unify_shape(f.out, y_full, op, index, "HTT branch outputs");
           add_temp(o1);
-          const int64_t t = o1[0];
-          int64_t n_full = kDimUnknown;
-          int64_t n_half = kDimUnknown;
-          if (known(t)) split_counts(op.tt, t, op, index, n_full, n_half);
-          Shape full_x = o1;
-          full_x[0] = n_full;
-          Shape half_x = o1;
-          half_x[0] = n_half;
-          Shape y_full;
-          Shape y_half;
-          if (!known(t) || n_full > 0) {
-            add_temp(full_x);
-            Shape a =
-                conv_out_shape(full_x, op.tt_w2_opts, op, index, "TT core w2");
-            see_col(full_x, op.tt_w2_opts);
-            Shape b =
-                conv_out_shape(full_x, op.tt_w3_opts, op, index, "TT core w3");
-            see_col(full_x, op.tt_w3_opts);
-            unify_shape(a, b, op, index, "PTT branch outputs");
-            y_full = conv_out_shape(a, op.tt_w4_opts, op, index, "TT core w4");
-            see_col(a, op.tt_w4_opts);
-            add_temp(a);
-            add_temp(b);
-            add_temp(y_full);
-          }
-          if (!known(t) || n_half > 0) {
-            add_temp(half_x);
-            y_half = conv_out_shape(half_x, op.tt_w4_half_opts, op, index,
-                                    "TT half-step core w4");
-            see_col(half_x, op.tt_w4_half_opts);
-            add_temp(y_half);
-          }
-          if (!y_full.empty() && !y_half.empty()) {
-            Shape a = y_full;
-            Shape b = y_half;
-            a[0] = b[0] = kDimUnknown;  // split sizes legitimately differ
-            unify_shape(a, b, op, index, "HTT branch outputs");
-            f.out = a;
-          } else {
-            f.out = y_full.empty() ? y_half : y_full;
-          }
-          TTSNN_CHECK(!f.out.empty(), "infer verify: " << op_where(op, index)
-                                                       << ": empty HTT "
-                                                       << "schedule");
-          f.out[0] = in[0];
+          add_temp(a);
+          add_temp(b);
           break;
         }
       }
-      break;
-    }
-
-    case Op::Kind::kTTHtt: {
-      TTSNN_CHECK(in.size() == 5,
-                  "infer verify: " << op_where(op, index)
-                                   << ": HTT expects [T, N, C, H, W], got "
-                                   << shape_str(in));
-      in[2] = unify_dim(in[2], op.conv.in_channels, op, index,
-                        "input channels");
-      in[2] = unify_dim(in[2], op.half_conv.in_channels, op, index,
-                        "input channels");
-      const int64_t t = in[0];
-      int64_t n_full = kDimUnknown;
-      int64_t n_half = kDimUnknown;
-      if (known(t)) split_counts(op.tt, t, op, index, n_full, n_half);
-      Shape full_x = in;
-      full_x[0] = n_full;
-      Shape half_x = in;
-      half_x[0] = n_half;
-      Shape y_full;
-      Shape y_half;
-      if (!known(t) || n_full > 0) {
-        add_temp(full_x);
-        y_full = conv_out_shape(full_x, op.conv, op, index,
-                                "merged full-step conv");
-        see_col(full_x, op.conv);
-        see_plane(op.plane, full_x, op.conv);
-        add_temp(y_full);
-      }
-      if (!known(t) || n_half > 0) {
-        add_temp(half_x);
-        y_half = conv_out_shape(half_x, op.half_conv, op, index,
-                                "merged half-step conv");
-        see_col(half_x, op.half_conv);
-        see_plane(op.half_plane, half_x, op.half_conv);
-        add_temp(y_half);
-      }
-      if (!y_full.empty() && !y_half.empty()) {
-        Shape a = y_full;
-        Shape b = y_half;
-        a[0] = b[0] = kDimUnknown;
-        unify_shape(a, b, op, index, "HTT branch outputs");
-        f.out = a;
-      } else {
-        f.out = y_full.empty() ? y_half : y_full;
-      }
-      TTSNN_CHECK(!f.out.empty(), "infer verify: " << op_where(op, index)
-                                                   << ": empty HTT schedule");
-      f.out[0] = in[0];
       break;
     }
 
@@ -487,21 +430,6 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
         if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
       }
       break;
-
-    case Op::Kind::kConvLif: {
-      TTSNN_CHECK(in.size() == 5,
-                  "infer verify: " << op_where(op, index)
-                                   << ": conv+lif expects [T, N, C, H, W], "
-                                   << "got " << shape_str(in));
-      f.out = conv_out_shape(in, op.conv, op, index, "conv");
-      see_col(in, op.conv);
-      // The LIF epilogue's membrane plane over the conv OUTPUT geometry,
-      // zeroed once per call.
-      const int64_t n = sym_numel(f.out);
-      if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
-      see_plane(op.plane, in, op.conv);  // adds on top of the membrane
-      break;
-    }
 
     case Op::Kind::kLif: {
       TTSNN_CHECK(in.size() >= 2, "infer verify: " << op_where(op, index)
@@ -768,22 +696,6 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
 bool fusion_candidate(const PlanAnalysis& analysis, int reg) {
   return reg != analysis.result_reg &&
          analysis.reads[static_cast<size_t>(reg)] == 1;
-}
-
-Shape infer_op_shape(const Op& op, size_t index, Shape& in, Shape* in2) {
-  return op_footprint(op, index, in, in2).out;
-}
-
-int64_t op_scratch_floats(const Op& op, const Shape& in_shape) {
-  Shape in = in_shape;
-  Shape in2 = in_shape;
-  return op_footprint(op, 0, in, op.in2 >= 0 ? &in2 : nullptr).scratch;
-}
-
-int64_t op_col_floats(const Op& op, const Shape& in_shape) {
-  Shape in = in_shape;
-  Shape in2 = in_shape;
-  return op_footprint(op, 0, in, op.in2 >= 0 ? &in2 : nullptr).col;
 }
 
 MemoryPlan plan_memory(const std::vector<Op>& ops,

@@ -10,8 +10,8 @@
 ///      read, in/in2/out indices are in range, each register has exactly one
 ///      writer, every op output is consumed (or is the result), the result
 ///      register is reachable, and each op kind carries its complete field
-///      group (a kTTHtt op has both merged kernels, a kAffine op has all BN
-///      tensors, ...). Malformed plans throw ttsnn::Error naming the
+///      group (a merged HTT conv has its half-step kernel, a kAffine op has
+///      all BN tensors, ...). Malformed plans throw ttsnn::Error naming the
 ///      offending op instead of crashing mid-run.
 ///
 ///   2. Symbolic shape inference — the input is [T, N, C, H, W] with unknown
@@ -22,7 +22,7 @@
 ///      to different T — is a compile-time diagnostic. The same transfer
 ///      functions run again with the concrete input shape when a plan is laid
 ///      out, where the remaining geometry (pool divisibility, empty conv
-///      outputs) becomes checkable.
+///      outputs, an HTT schedule shorter than T) becomes checkable.
 ///
 ///   3. Liveness + alias analysis — exact live ranges per register (the
 ///      memory planner packs storage groups by them), kFlatten lowered to a
@@ -144,20 +144,6 @@ struct MemoryPlan {
 /// labeled ttsnn::Error here — before any kernel runs.
 MemoryPlan plan_memory(const std::vector<Op>& ops, const PlanAnalysis& analysis,
                        const Shape& input);
-
-/// Shape-transfer function for one op. `in` is the (possibly symbolic)
-/// current shape of op.in and may be refined in place by unification;
-/// `in2` is null except for kAdd. `index` labels diagnostics.
-Shape infer_op_shape(const Op& op, size_t index, Shape& in, Shape* in2);
-
-/// Floats of per-op internal scratch (composite TT pipelines, the LIF
-/// membrane plane) the executor carves from the plan's scratch region; 0 for
-/// simple ops. Requires a concrete input shape.
-int64_t op_scratch_floats(const Op& op, const Shape& in_shape);
-
-/// Floats of im2col column buffer the op needs at this input shape (the max
-/// over its internal conv lowerings; 0 when every lowering is pointwise).
-int64_t op_col_floats(const Op& op, const Shape& in_shape);
 
 /// Human-readable memory-plan report for one input shape: one row per
 /// register (live range, shape, bytes, offset, alias/in-place flags) plus

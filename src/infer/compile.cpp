@@ -57,14 +57,11 @@ int lower_conv(const Conv2d& conv, int in_reg, Builder& b) {
 
 int lower_ttconv(const TTConv2d& tt, int in_reg, Builder& b) {
   const TTConv2d::Options& o = tt.options();
-  // An HTT layer whose schedule is empty (or absent) runs every step full,
-  // so it merges to a single cross-kernel conv just like PTT.
-  const bool per_step =
-      o.mode == TTMode::kHTT && !o.full_step.empty();
-
-  if (b.opts.merge_tt && !per_step) {
+  if (b.opts.merge_tt) {
     // Algorithm 1 lines 20-22: one dense kernel — full K x K for STT,
-    // cross-shaped for PTT.
+    // cross-shaped for PTT and HTT full steps. An HTT layer with a schedule
+    // also carries the merged pointwise kernel its half steps run; an empty
+    // schedule runs every step full, like PTT.
     Op op;
     op.kind = Op::Kind::kConv;
     op.in = in_reg;
@@ -75,30 +72,16 @@ int lower_ttconv(const TTConv2d& tt, int in_reg, Builder& b) {
                               .kernel_w = o.kernel,
                               .stride = o.stride};
     op.weight = tt.merged_kernel();
+    if (o.mode == TTMode::kHTT && !o.full_step.empty()) {
+      op.tt = o;
+      op.half_conv = Conv2d::Options{.in_channels = o.in_channels,
+                                     .out_channels = o.out_channels,
+                                     .kernel_h = 1,
+                                     .kernel_w = 1,
+                                     .stride = o.stride};
+      op.half_kernel = tt.merged_half_kernel();
+    }
     op.label = "merged-" + tt_mode_name(o.mode) + " " + conv_label(op.conv);
-    return b.emit(std::move(op));
-  }
-
-  if (b.opts.merge_tt) {
-    // Merged HTT: two kernels selected per timestep by the schedule.
-    Op op;
-    op.kind = Op::Kind::kTTHtt;
-    op.in = in_reg;
-    op.out = b.fresh_reg();
-    op.tt = o;
-    op.conv = Conv2d::Options{.in_channels = o.in_channels,
-                              .out_channels = o.out_channels,
-                              .kernel_h = o.kernel,
-                              .kernel_w = o.kernel,
-                              .stride = o.stride};
-    op.half_conv = Conv2d::Options{.in_channels = o.in_channels,
-                                   .out_channels = o.out_channels,
-                                   .kernel_h = 1,
-                                   .kernel_w = 1,
-                                   .stride = o.stride};
-    op.full_kernel = tt.merged_kernel();
-    op.half_kernel = tt.merged_half_kernel();
-    op.label = "merged-HTT " + conv_label(op.conv);
     return b.emit(std::move(op));
   }
 
@@ -154,13 +137,8 @@ int lower_bn(const BatchNorm& bn, int in_reg, Builder& b) {
   if (b.opts.fold_batchnorm && o.mode != BatchNorm::Mode::kTebn &&
       !b.ops.empty() && b.pinned.count(in_reg) == 0) {
     Op& prev = b.ops.back();
-    const bool foldable =
-        prev.out == in_reg &&
-        (prev.kind == Op::Kind::kConv || prev.kind == Op::Kind::kTTHtt);
-    if (foldable) {
-      const int64_t out_c = prev.kind == Op::Kind::kConv
-                                ? prev.conv.out_channels
-                                : prev.tt.out_channels;
+    if (prev.out == in_reg && prev.kind == Op::Kind::kConv) {
+      const int64_t out_c = prev.conv.out_channels;
       TTSNN_CHECK(out_c == o.channels,
                   "infer: BN channels " << o.channels
                                         << " do not match producing conv "
@@ -182,12 +160,8 @@ int lower_bn(const BatchNorm& bn, int in_reg, Builder& b) {
         const float b0 = prev.bias.defined() ? prev.bias[oc] : 0.0F;
         bias[oc] = s * b0 + beta[oc] - s * mean[oc];
       }
-      if (prev.kind == Op::Kind::kConv) {
-        scale_rows(prev.weight);
-      } else {
-        scale_rows(prev.full_kernel);
-        scale_rows(prev.half_kernel);
-      }
+      scale_rows(prev.weight);
+      if (prev.half_kernel.defined()) scale_rows(prev.half_kernel);
       prev.bias = std::move(bias);
       prev.label += " +bn";
       return in_reg;
@@ -453,20 +427,13 @@ void quantize_weights(std::vector<Op>& ops, int num_regs, WeightDtype dtype) {
           op.quant_note = "f32 (input not provably binary spikes)";
           break;
         }
+        // The planes own the only remaining copies.
         op.plane = encode(op.weight);
-        op.weight = Tensor();  // the plane owns the only remaining copy
-        op.quant_note = weight_dtype_name(dtype);
-        break;
-      }
-      case Op::Kind::kTTHtt: {
-        if (dtype == WeightDtype::kInt8 && !provably_binary(ops, def_op, op.in)) {
-          op.quant_note = "f32 (input not provably binary spikes)";
-          break;
+        op.weight = Tensor();
+        if (op.half_kernel.defined()) {
+          op.half_plane = encode(op.half_kernel);
+          op.half_kernel = Tensor();
         }
-        op.plane = encode(op.full_kernel);
-        op.half_plane = encode(op.half_kernel);
-        op.full_kernel = Tensor();
-        op.half_kernel = Tensor();
         op.quant_note = weight_dtype_name(dtype);
         break;
       }
@@ -505,8 +472,8 @@ WeightFootprint unique_weight_bytes(const std::vector<Op>& ops) {
   for (const Op& op : ops) {
     for (const Tensor* t :
          {&op.weight, &op.bias, &op.w1, &op.w2, &op.w3, &op.w4,
-          &op.full_kernel, &op.half_kernel, &op.bn_gamma, &op.bn_beta,
-          &op.bn_mean, &op.bn_inv_std, &op.bn_step_scale}) {
+          &op.half_kernel, &op.bn_gamma, &op.bn_beta, &op.bn_mean,
+          &op.bn_inv_std, &op.bn_step_scale}) {
       add(*t);
     }
     add_plane(op.plane);

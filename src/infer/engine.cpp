@@ -19,14 +19,11 @@ namespace {
 /// program: the output is a pre-computed destination (workspace view,
 /// in-place alias of the input, or the owning result tensor), temps/raw bump
 /// through the plan's scratch region, col is the plan's fixed column block.
-/// The bump cursor is checked against the scratch budget op_scratch_floats()
-/// computed — any drift between the analysis enumeration and the kernels is
-/// a hard error, not a corruption.
+/// The bump cursor is checked against the scratch budget op_footprint()
+/// (analysis.cpp) computed — any drift between the analysis enumeration and
+/// the kernels is a hard error, not a corruption.
 struct PlannedCtx {
   const MemoryPlan* plan = nullptr;
-  /// The op's compiled record; kernels read its pre-resolved HTT schedule
-  /// split instead of walking the schedule per call.
-  const OpExec* exec = nullptr;
   Tensor* ws = nullptr;
   Tensor dest;
   size_t op_index = 0;
@@ -40,7 +37,7 @@ struct PlannedCtx {
                     << shape_str(dest.shape()));
     return dest;
   }
-  /// An op-internal temporary (TT pipeline stages, HTT gather planes).
+  /// An op-internal temporary (TT pipeline stages).
   Tensor temp(const Shape& s) {
     const int64_t n = shape_numel(s);
     Tensor t = ws->view(plan->scratch_offset + cursor, s);
@@ -112,156 +109,188 @@ void run_tile_epilogue(void* ctx, int64_t image, float* tile) {
   }
 }
 
-/// Dense convolution over a folded-batch NCHW tensor through conv_forward
-/// (tensor/im2col.h), the lowering conv2d_forward() runs, so exact plans are
-/// bit-identical to the Module path by construction; the column matrix, the
-/// output and every scratch buffer come from the plan. A quantized `plane`
-/// supplies the weights from typed storage: bf16 dequantizes into scratch
-/// once per call and runs the identical f32 GEMM; int8 runs the integer
-/// spike-GEMM with per-channel rescale. A defined `bias` and a non-null
-/// `lif` (kConvLif, rank-5 input) become the per-tile epilogue.
-Tensor run_conv(const Tensor& x, const Tensor& weight, const WeightPlane& plane,
-                const Conv2d::Options& opts, const Tensor& bias,
-                PlannedCtx& ctx, bool is_out,
-                const LIFNeuron::Options* lif = nullptr) {
+/// Number of CHW images in x [..., C, H, W].
+int64_t images(const Tensor& x) {
+  return x.numel() / (x.size(-3) * x.size(-2) * x.size(-1));
+}
+
+/// One timestep's slice of v [T, N, ...] as a [1, N, ...] view: the N
+/// images of step t are contiguous.
+Tensor step(const Tensor& v, int64_t t) {
+  Shape s = v.shape();
+  s[0] = 1;
+  return v.view(t * shape_numel(s), s);
+}
+
+/// Output shape of the conv `opts` over x [..., C, H, W], checked.
+Shape conv_shape(const Tensor& x, const Conv2d::Options& opts) {
   TTSNN_CHECK(x.dim() >= 3, "infer conv: input must be at least [C, H, W]");
-  TTSNN_CHECK(lif == nullptr || x.dim() == 5,
-              "infer conv+lif expects [T, N, C, H, W], got "
-                  << shape_str(x.shape()));
   TTSNN_CHECK(x.size(-3) == opts.in_channels,
               "infer conv: channel mismatch, expected "
                   << opts.in_channels << " in " << shape_str(x.shape()));
-  const int64_t batch = x.numel() / (x.size(-3) * x.size(-2) * x.size(-1));
   const ConvGeometry g = opts.geometry(x.size(-2), x.size(-1));
-  const int64_t oh = g.out_h();
-  const int64_t ow = g.out_w();
-  TTSNN_CHECK(oh > 0 && ow > 0, "infer conv: output would be empty for input "
-                                    << shape_str(x.shape()));
-  Shape out_shape = x.shape();
-  out_shape[out_shape.size() - 3] = opts.out_channels;
-  out_shape[out_shape.size() - 2] = oh;
-  out_shape[out_shape.size() - 1] = ow;
-  // gemm beta=0 writes every element of the (possibly uninitialized) output.
-  Tensor out = is_out ? ctx.out(out_shape) : ctx.temp(out_shape);
-  float* col = g.pointwise() ? nullptr : ctx.col(g.col_rows() * g.col_cols());
-  TileEpilogue epi{.bias = bias.defined() ? bias.data() : nullptr,
-                   .lif = lif,
-                   .channels = opts.out_channels,
-                   .hw = oh * ow};
-  if (lif != nullptr) {
-    epi.n = x.size(1);
-    const int64_t membrane = epi.n * opts.out_channels * oh * ow;
-    epi.u_post = ctx.raw(membrane);
-    std::fill(epi.u_post, epi.u_post + membrane, 0.0F);
-  }
-  // Typed-plane weight resolution, after the membrane plane: the scratch
-  // term order of op_footprint (analysis.cpp). The f32 path reads the tensor
-  // in place.
-  ConvWeights w{.out_channels = opts.out_channels};
-  uint8_t* u8 = nullptr;
+  TTSNN_CHECK(g.out_h() > 0 && g.out_w() > 0,
+              "infer conv: output would be empty for input "
+                  << shape_str(x.shape()));
+  Shape s = x.shape();
+  s[s.size() - 3] = opts.out_channels;
+  s[s.size() - 2] = g.out_h();
+  s[s.size() - 1] = g.out_w();
+  return s;
+}
+
+/// One conv kernel resolved into the operands conv_forward (tensor/im2col.h)
+/// reads at x's spatial size. An f32 kernel is read in place; a quantized
+/// `plane` takes its scratch here, in op_footprint's order: bf16 dequantizes
+/// into scratch once per op call and runs the identical f32 GEMM; int8 runs
+/// the integer spike-GEMM with per-channel rescale through a u8 tile buffer.
+struct ConvKernel {
+  ConvGeometry g;
+  ConvWeights w;
+  float* col = nullptr;   ///< the plan's column block; null when pointwise
+  uint8_t* u8 = nullptr;  ///< int8 only
+};
+
+ConvKernel resolve_kernel(const Tensor& weight, const WeightPlane& plane,
+                          const Conv2d::Options& opts, const Tensor& x,
+                          PlannedCtx& ctx) {
+  ConvKernel k{.g = opts.geometry(x.size(-2), x.size(-1)),
+               .w = {.out_channels = opts.out_channels}};
+  const int64_t col_floats = k.g.col_rows() * k.g.col_cols();
+  if (!k.g.pointwise()) k.col = ctx.col(col_floats);
   if (!plane.quantized()) {
-    w.f32 = weight.data();
+    k.w.f32 = weight.data();
   } else if (plane.dtype() == WeightDtype::kBf16) {
     float* wbuf = ctx.raw(plane.numel());
     simd::dequant_bf16(plane.numel(), plane.bf16_data(), wbuf);
-    w.f32 = wbuf;
+    k.w.f32 = wbuf;
   } else {
-    w.s8 = plane.int8_data();
-    w.scales = plane.scales().data();
-    u8 = reinterpret_cast<uint8_t*>(
-        ctx.raw((g.col_rows() * g.col_cols() + 3) / 4));
+    k.w.s8 = plane.int8_data();
+    k.w.scales = plane.scales().data();
+    k.u8 = reinterpret_cast<uint8_t*>(ctx.raw((col_floats + 3) / 4));
   }
-  ConvEpilogue epilogue;
-  if (epi.bias != nullptr || lif != nullptr) {
-    epilogue = {.fn = run_tile_epilogue, .ctx = &epi};
-  }
-  conv_forward(g, batch, x.data(), w, col, u8, out.data(), epilogue);
-  return out;
+  return k;
 }
 
-/// gather_steps into a ctx temp; undefined tensor for an empty index list
-/// (matching gather_steps), so the scratch budget only charges non-empty
-/// splits — in lockstep with op_scratch_floats().
-Tensor gather_steps_ctx(const Tensor& x, const std::vector<int64_t>& idx,
-                        PlannedCtx& ctx) {
-  if (idx.empty()) return {};
-  Shape s = x.shape();
-  s[0] = static_cast<int64_t>(idx.size());
-  Tensor out = ctx.temp(s);
-  gather_steps_into(x, idx, out);
+/// kConv / kConvLif through conv_forward, the lowering conv2d_forward()
+/// runs, so exact plans are bit-identical to the Module path by
+/// construction; the column matrix, the output and every scratch buffer come
+/// from the plan. A defined bias and a kConvLif's LIF step become the
+/// per-tile epilogue. A merged HTT conv (non-empty op.tt.full_step) runs the
+/// N images of each timestep — contiguous in [T, N, C, H, W] — straight from
+/// x into out with the kernel the step's schedule entry picks. Every image
+/// gets its own GEMM, so the bits are those of gathering each class of
+/// steps, convolving it and scattering the results back.
+Tensor run_conv(const Op& op, const Tensor& x, PlannedCtx& ctx) {
+  const bool lif = op.kind == Op::Kind::kConvLif;
+  const std::vector<bool>& schedule = op.tt.full_step;
+  TTSNN_CHECK((!lif && schedule.empty()) || x.dim() == 5,
+              "infer " << op_kind_name(op.kind)
+                       << " expects [T, N, C, H, W], got "
+                       << shape_str(x.shape()));
+  // gemm beta=0 writes every element of the (possibly uninitialized) output.
+  Tensor out = ctx.out(conv_shape(x, op.conv));
+  const int64_t hw = out.size(-2) * out.size(-1);
+  TileEpilogue epi{.bias = op.bias.defined() ? op.bias.data() : nullptr,
+                   .lif = lif ? &op.lif : nullptr,
+                   .channels = op.conv.out_channels,
+                   .hw = hw};
+  if (lif) {
+    epi.n = x.size(1);
+    const int64_t membrane = epi.n * op.conv.out_channels * hw;
+    epi.u_post = ctx.raw(membrane);
+    std::fill(epi.u_post, epi.u_post + membrane, 0.0F);
+  }
+  ConvEpilogue epilogue;
+  if (epi.bias != nullptr || lif) {
+    epilogue = {.fn = run_tile_epilogue, .ctx = &epi};
+  }
+  // After the membrane plane: the full kernel's scratch, then the half
+  // kernel's.
+  const ConvKernel full = resolve_kernel(op.weight, op.plane, op.conv, x, ctx);
+  if (schedule.empty()) {
+    conv_forward(full.g, images(x), x.data(), full.w, full.col, full.u8,
+                 out.data(), epilogue);
+    return out;
+  }
+  const ConvKernel half =
+      resolve_kernel(op.half_kernel, op.half_plane, op.half_conv, x, ctx);
+  // plan_memory rejected a schedule shorter than T before any kernel ran.
+  const int64_t steps = x.size(0);
+  const int64_t x_step = x.numel() / steps;
+  const int64_t out_step = out.numel() / steps;
+  for (int64_t t = 0; t < steps; ++t) {
+    const ConvKernel& k = schedule[static_cast<size_t>(t)] ? full : half;
+    conv_forward(k.g, x.size(1), x.data() + t * x_step, k.w, k.col, k.u8,
+                 out.data() + t * out_step, epilogue);
+  }
   return out;
 }
 
 /// Unmerged TT pipeline — reproduces eval-mode TTConv2d::forward bit-for-bit
 /// (the PTT branches run sequentially here; the training path computes them
-/// into separate buffers before the same add, so the bits agree).
+/// into separate buffers before the same add, so the bits agree). HTT runs
+/// each timestep on views of the w1 output: full steps take the PTT path
+/// through one-step w2/w3 buffers reused across steps, and every step's w4
+/// writes straight into its slice of the output.
 Tensor run_tt_exact(const Op& op, const Tensor& x, PlannedCtx& ctx) {
-  const Tensor none;
   const WeightPlane f32;  // exact-mode TT cores always stay f32
-  Tensor o1 = run_conv(x, op.w1, f32, op.tt_w1_opts, none, ctx, false);
-  auto ptt_path = [&](const Tensor& in, bool is_out) {
-    Tensor a = run_conv(in, op.w2, f32, op.tt_w2_opts, none, ctx, false);
-    Tensor b = run_conv(in, op.w3, f32, op.tt_w3_opts, none, ctx, false);
-    a.add_(b);  // in place: a is this call's own conv output
-    return run_conv(a, op.w4, f32, op.tt_w4_opts, none, ctx, is_out);
+  // One core: an f32 conv of `in` into `dst`, which the caller placed.
+  auto core = [&](const Tensor& in, const Tensor& w, const Conv2d::Options& o,
+                  Tensor dst) {
+    TTSNN_CHECK(dst.shape() == conv_shape(in, o),
+                "infer: planned shape drift at op " << ctx.op_index);
+    const ConvKernel k = resolve_kernel(w, f32, o, in, ctx);
+    conv_forward(k.g, images(in), in.data(), k.w, k.col, nullptr, dst.data());
   };
+  auto core_temp = [&](const Tensor& in, const Tensor& w,
+                       const Conv2d::Options& o) {
+    Tensor t = ctx.temp(conv_shape(in, o));
+    core(in, w, o, t);
+    return t;
+  };
+  // PTT path: w2 and w3 both read `in` into a and b; their sum feeds w4.
+  auto ptt_path = [&](const Tensor& in, Tensor& a, const Tensor& b,
+                      Tensor dst) {
+    core(in, op.w2, op.tt_w2_opts, a);
+    core(in, op.w3, op.tt_w3_opts, b);
+    a.add_(b);  // in place: a is this op's own scratch
+    core(a, op.w4, op.tt_w4_opts, std::move(dst));
+  };
+  const Tensor o1 = core_temp(x, op.w1, op.tt_w1_opts);
   switch (op.tt.mode) {
     case TTMode::kSTT: {
-      Tensor z2 = run_conv(o1, op.w2, f32, op.tt_w2_opts, none, ctx, false);
-      Tensor z3 = run_conv(z2, op.w3, f32, op.tt_w3_opts, none, ctx, false);
-      return run_conv(z3, op.w4, f32, op.tt_w4_opts, none, ctx, true);
+      const Tensor z2 = core_temp(o1, op.w2, op.tt_w2_opts);
+      const Tensor z3 = core_temp(z2, op.w3, op.tt_w3_opts);
+      Tensor out = ctx.out(conv_shape(z3, op.tt_w4_opts));
+      core(z3, op.w4, op.tt_w4_opts, out);
+      return out;
     }
-    case TTMode::kPTT:
-      return ptt_path(o1, true);
+    case TTMode::kPTT: {
+      Tensor a = ctx.temp(conv_shape(o1, op.tt_w2_opts));
+      const Tensor b = ctx.temp(conv_shape(o1, op.tt_w3_opts));
+      Tensor out = ctx.out(conv_shape(a, op.tt_w4_opts));
+      ptt_path(o1, a, b, out);
+      return out;
+    }
     case TTMode::kHTT: {
       TTSNN_CHECK(o1.dim() == 5, "infer HTT expects [T, N, C, H, W]");
-      const OpExec& split = *ctx.exec;
-      Tensor full_x = gather_steps_ctx(o1, split.full_idx, ctx);
-      Tensor half_x = gather_steps_ctx(o1, split.half_idx, ctx);
-      Tensor y_full, y_half;
-      if (full_x.defined()) y_full = ptt_path(full_x, false);
-      if (half_x.defined()) {
-        y_half =
-            run_conv(half_x, op.w4, f32, op.tt_w4_half_opts, none, ctx, false);
+      const std::vector<bool>& schedule = op.tt.full_step;
+      Tensor a = ctx.temp(conv_shape(step(o1, 0), op.tt_w2_opts));
+      const Tensor b = ctx.temp(conv_shape(step(o1, 0), op.tt_w3_opts));
+      Tensor out = ctx.out(conv_shape(o1, op.tt_w4_half_opts));
+      for (int64_t t = 0; t < o1.size(0); ++t) {
+        if (schedule.empty() || schedule[static_cast<size_t>(t)]) {
+          ptt_path(step(o1, t), a, b, step(out, t));
+        } else {
+          core(step(o1, t), op.w4, op.tt_w4_half_opts, step(out, t));
+        }
       }
-      TTSNN_CHECK(y_full.defined() || y_half.defined(),
-                  "infer HTT: empty schedule");
-      Shape out_shape = (y_full.defined() ? y_full : y_half).shape();
-      out_shape[0] = o1.size(0);
-      Tensor out = ctx.out(out_shape);  // scatter covers every step
-      if (y_full.defined()) scatter_steps(out, y_full, split.full_idx);
-      if (y_half.defined()) scatter_steps(out, y_half, split.half_idx);
       return out;
     }
   }
   TTSNN_CHECK(false, "unreachable");
   return {};
-}
-
-/// Merged HTT: cross kernel on full steps, merged pointwise on half steps
-/// (Algorithm 1 lines 20-22 applied per schedule entry). Both kernels use
-/// stride s, so all steps agree on the output shape.
-Tensor run_tt_htt_merged(const Op& op, const Tensor& x, PlannedCtx& ctx) {
-  TTSNN_CHECK(x.dim() == 5, "infer HTT expects [T, N, C, H, W]");
-  const OpExec& split = *ctx.exec;
-  Tensor full_x = gather_steps_ctx(x, split.full_idx, ctx);
-  Tensor half_x = gather_steps_ctx(x, split.half_idx, ctx);
-  Tensor y_full, y_half;
-  if (full_x.defined()) {
-    y_full = run_conv(full_x, op.full_kernel, op.plane, op.conv, op.bias, ctx,
-                      false);
-  }
-  if (half_x.defined()) {
-    y_half = run_conv(half_x, op.half_kernel, op.half_plane, op.half_conv,
-                      op.bias, ctx, false);
-  }
-  TTSNN_CHECK(y_full.defined() || y_half.defined(), "infer HTT: empty schedule");
-  Shape out_shape = (y_full.defined() ? y_full : y_half).shape();
-  out_shape[0] = x.size(0);
-  Tensor out = ctx.out(out_shape);  // scatter covers every step
-  if (y_full.defined()) scatter_steps(out, y_full, split.full_idx);
-  if (y_half.defined()) scatter_steps(out, y_half, split.half_idx);
-  return out;
 }
 
 /// Inference BatchNorm — an affine per (timestep, channel) from the stored
@@ -486,11 +515,10 @@ Tensor exec_op(const Op& op, const Tensor& x, const Tensor& x2,
                PlannedCtx& ctx) {
   switch (op.kind) {
     case Op::Kind::kConv:
-      return run_conv(x, op.weight, op.plane, op.conv, op.bias, ctx, true);
+    case Op::Kind::kConvLif:
+      return run_conv(op, x, ctx);
     case Op::Kind::kTTExact:
       return run_tt_exact(op, x, ctx);
-    case Op::Kind::kTTHtt:
-      return run_tt_htt_merged(op, x, ctx);
     case Op::Kind::kAffine:
     case Op::Kind::kAffineLif:
     case Op::Kind::kAffineAdd:
@@ -507,9 +535,6 @@ Tensor exec_op(const Op& op, const Tensor& x, const Tensor& x2,
       return run_linear(op, x, ctx);
     case Op::Kind::kAdd:
       return run_add(x, x2, ctx);
-    case Op::Kind::kConvLif:
-      return run_conv(x, op.weight, op.plane, op.conv, op.bias, ctx, true,
-                      &op.lif);
     case Op::Kind::kAddLif:
       return run_add_lif(op, x, x2, ctx);
   }
@@ -525,8 +550,6 @@ const char* op_kind_name(Op::Kind k) {
       return "conv";
     case Op::Kind::kTTExact:
       return "tt";
-    case Op::Kind::kTTHtt:
-      return "htt";
     case Op::Kind::kAffine:
       return "affine";
     case Op::Kind::kLif:
@@ -589,8 +612,8 @@ Tensor Engine::run(const Tensor& x, Tensor& workspace) const {
   TTSNN_CHECK(x.dim() == 5, "infer::Engine::run expects [T, N, C, H, W], got "
                                 << shape_str(x.shape()));
   // One cache lookup per call resolves EVERYTHING shape-dependent: the packed
-  // layout, each op's destination, and the HTT schedule splits. The op loop
-  // below only follows the precomputed records.
+  // layout and each op's destination. The op loop below only follows the
+  // precomputed records.
   const std::shared_ptr<const CompiledProgram> prog = program(x.shape());
   const MemoryPlan* plan = prog->layout.get();
   if (plan->total_floats > 0 &&
@@ -622,7 +645,6 @@ Tensor Engine::run(const Tensor& x, Tensor& workspace) const {
     ctx.plan = plan;
     ctx.ws = &workspace;
     ctx.op_index = i;
-    ctx.exec = &ex;
     switch (ex.dest) {
       case OpExec::Dest::kResult:
         ctx.dest = Tensor::empty(ex.out_shape);  // the caller owns this

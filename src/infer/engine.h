@@ -21,8 +21,9 @@
 /// Lowering follows Algorithm 1 lines 20-22: with CompileOptions::merge_tt
 /// (the default), every TTConv2d collapses into a single dense convolution —
 /// the full K x K merged kernel for STT, the cross-shaped kernel for PTT —
-/// and HTT layers keep a two-kernel per-step plan (cross on full steps,
-/// merged pointwise on half steps). With merge_tt off, the four TT cores are
+/// and an HTT layer into one convolution whose kernel its schedule picks per
+/// timestep (cross on full steps, merged pointwise on half steps). With
+/// merge_tt off, the four TT cores are
 /// lowered as-is; the engine then reproduces eval-mode Module::forward
 /// bit-for-bit, which is what the equivalence tests pin. fold_batchnorm
 /// additionally folds inference-mode BN (an affine per channel) into the
@@ -67,7 +68,7 @@ struct CompileOptions {
   /// fusion on or off; off keeps the one-op-per-module reference lowering.
   bool fuse_elementwise = true;
   /// Storage dtype requested for conv/linear weight matrices (including the
-  /// PR-9 fused conv+LIF ops and merged HTT kernel pairs). kF32 — the default
+  /// fused conv+LIF ops and merged HTT kernel pairs). kF32 — the default
   /// — is a complete no-op and stays bit-identical to today's engine. kBf16
   /// re-encodes every eligible weight with the round-to-nearest-even codec
   /// (dequantized into plan scratch before the unchanged f32 GEMM). kInt8
@@ -85,7 +86,6 @@ struct Op {
   enum class Kind {
     kConv,        ///< dense conv: weight [O,C,kh,kw], optional bias [O]
     kTTExact,     ///< unmerged TT pipeline (STT/PTT/HTT) from four cores
-    kTTHtt,       ///< merged HTT: cross kernel on full steps, 1x1 on half
     kAffine,      ///< inference BatchNorm (running stats, per-(t,c) scale)
     kLif,         ///< leaky integrate-and-fire over [T, N, ...]
     kAvgPool,     ///< non-overlapping average pool
@@ -106,19 +106,21 @@ struct Op {
   int in2 = -1;
   int out = -1;
 
-  // kConv (also kTTHtt's full-step geometry; kLinear stores weight/bias only)
+  // kConv / kConvLif (kLinear stores weight/bias only)
   Conv2d::Options conv;
   Tensor weight;
   Tensor bias;  ///< undefined when absent (BN folding or Linear bias)
 
-  // kTTExact / kTTHtt
+  // Merged HTT: a kConv / kConvLif whose tt.full_step is non-empty runs
+  // `weight` on full steps and this pointwise kernel on half steps.
+  Tensor half_kernel;         ///< merged pointwise kernel [O,I,1,1]
+  Conv2d::Options half_conv;  ///< half-step geometry (1x1, stride s)
+
+  // kTTExact (merged HTT reads only tt.full_step)
   TTConv2d::Options tt;         ///< mode, stride and HTT schedule
   Tensor w1, w2, w3, w4;        ///< kTTExact: cloned cores
   Conv2d::Options tt_w1_opts, tt_w2_opts, tt_w3_opts, tt_w4_opts;
   Conv2d::Options tt_w4_half_opts;  ///< HTT half step: stride moved onto w4
-  Tensor full_kernel;           ///< kTTHtt: merged cross kernel [O,I,K,K]
-  Tensor half_kernel;           ///< kTTHtt: merged pointwise kernel [O,I,1,1]
-  Conv2d::Options half_conv;    ///< kTTHtt: half-step geometry (1x1, stride s)
 
   // kAffine
   BatchNorm::Mode bn_mode = BatchNorm::Mode::kPerStep;
@@ -138,11 +140,10 @@ struct Op {
   bool fused_swap = false;
 
   // Typed weight planes (compile.cpp's quantization pass; weight_dtype !=
-  // kF32 only). When `plane` is quantized it REPLACES the f32 tensor it was
-  // encoded from (`weight` for kConv/kConvLif/kLinear, `full_kernel` for
-  // kTTHtt — whose pointwise kernel moves to `half_plane`); the f32 tensor is
-  // dropped so the plan's weight bytes actually shrink. Ops the pass skips
-  // keep their f32 tensors and record why in `quant_note`.
+  // kF32 only). When `plane` is quantized it REPLACES the f32 `weight` it was
+  // encoded from (a merged HTT conv's `half_kernel` moves to `half_plane`);
+  // the f32 tensor is dropped so the plan's weight bytes actually shrink. Ops
+  // the pass skips keep their f32 tensors and record why in `quant_note`.
   WeightPlane plane;
   WeightPlane half_plane;
   std::string quant_note;  ///< census entry: dtype name or fallback reason
@@ -150,7 +151,7 @@ struct Op {
   std::string label;  ///< human-readable op description for summary()
 };
 
-/// Short lowercase mnemonic for an op kind ("conv", "htt", ...), shared by
+/// Short lowercase mnemonic for an op kind ("conv", "tt", ...), shared by
 /// Engine::summary() and every analysis diagnostic.
 const char* op_kind_name(Op::Kind kind);
 

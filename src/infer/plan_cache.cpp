@@ -25,27 +25,9 @@ int64_t program_bytes(const CompiledProgram& p) {
   b += static_cast<int64_t>((m.offset.capacity() + m.floats.capacity()) *
                             sizeof(int64_t));
   for (const OpExec& e : p.exec) {
-    b += static_cast<int64_t>(sizeof(OpExec)) + shape_bytes(e.out_shape) +
-         static_cast<int64_t>((e.full_idx.capacity() + e.half_idx.capacity()) *
-                              sizeof(int64_t));
+    b += static_cast<int64_t>(sizeof(OpExec)) + shape_bytes(e.out_shape);
   }
   return b;
-}
-
-/// Splits [0, t_steps) into full/half step index lists per the HTT schedule
-/// (non-HTT or an empty schedule runs every step full).
-void split_htt_schedule(const TTConv2d::Options& tt, int64_t t_steps,
-                        std::vector<int64_t>& full_idx,
-                        std::vector<int64_t>& half_idx) {
-  for (int64_t t = 0; t < t_steps; ++t) {
-    bool full = true;
-    if (tt.mode == TTMode::kHTT && !tt.full_step.empty()) {
-      TTSNN_CHECK(t < static_cast<int64_t>(tt.full_step.size()),
-                  "infer: HTT schedule too short for timestep " << t);
-      full = tt.full_step[static_cast<size_t>(t)];
-    }
-    (full ? full_idx : half_idx).push_back(t);
-  }
 }
 
 }  // namespace
@@ -80,18 +62,7 @@ CompiledProgram compile_program(const std::vector<Op>& ops,
       e.dest = OpExec::Dest::kWorkspace;
       e.offset = p.layout->offset[static_cast<size_t>(op.out)];
     }
-    if (op.kind == Op::Kind::kTTHtt ||
-        (op.kind == Op::Kind::kTTExact && op.tt.mode == TTMode::kHTT)) {
-      e.has_schedule = true;
-      split_htt_schedule(op.tt, input[0], e.full_idx, e.half_idx);
-    }
     p.exec.push_back(std::move(e));
-  }
-  for (const Op& op : ops) {  // dtype tag: first quantized plane wins
-    if (op.plane.quantized()) {
-      p.weight_dtype = op.plane.dtype();
-      break;
-    }
   }
   p.bytes = program_bytes(p);
   return p;

@@ -6,9 +6,10 @@
 ///
 /// An Engine's op list is lowered once per model, but everything the planned
 /// executor needs beyond the ops is a function of the concrete input
-/// signature [T, N, C, H, W]: the packed workspace layout, each op's
-/// destination (workspace view / in-place alias / owning result), and the
-/// HTT per-step schedule split. CompiledProgram bundles all of that for one
+/// signature [T, N, C, H, W]: the packed workspace layout and each op's
+/// destination (workspace view / in-place alias / owning result). An HTT
+/// op's schedule needs nothing per shape: its kernels pick each timestep's
+/// path from the op itself. CompiledProgram bundles all of that for one
 /// signature; ProgramCache memoizes CompiledPrograms behind Engine::run so
 /// the first request of a new shape pays one compile and every later request
 /// of that shape executes with zero per-call planning (the pattern of
@@ -27,8 +28,8 @@
 ///  - Engine copies (Router shard replicas) share one ProgramCache via
 ///    shared_ptr, so a shape compiled on any shard is warm on all of them.
 ///  - A cache-served program is bitwise-identical to a freshly compiled one:
-///    compilation is deterministic (plan_memory + the schedule split), and
-///    eviction only forgets the layout, never the weights.
+///    compilation is deterministic (plan_memory plus each op's destination),
+///    and eviction only forgets the layout, never the weights.
 
 #include <cstdint>
 #include <future>
@@ -43,8 +44,7 @@
 namespace ttsnn::infer {
 
 /// Per-op execution record of a compiled program: where this op's output
-/// lives at this input signature, plus any per-shape control flow resolved
-/// at compile time instead of per call.
+/// lives at this input signature.
 struct OpExec {
   enum class Dest {
     kAlias,        ///< pure view of the input register (mid-plan kFlatten)
@@ -56,13 +56,6 @@ struct OpExec {
   Dest dest = Dest::kWorkspace;
   Shape out_shape;     ///< concrete output shape (layout->shape[op.out])
   int64_t offset = 0;  ///< workspace float offset (kWorkspace only)
-
-  /// HTT per-step schedule resolved for this T (kTTHtt ops, and kTTExact in
-  /// HTT mode). The executor consumes these instead of re-splitting the
-  /// schedule on every call.
-  bool has_schedule = false;
-  std::vector<int64_t> full_idx;
-  std::vector<int64_t> half_idx;
 };
 
 /// A fully compiled program: everything Engine::run needs for ONE input
@@ -72,11 +65,6 @@ struct CompiledProgram {
   std::shared_ptr<const MemoryPlan> layout;     ///< packed workspace layout
   std::vector<OpExec> exec;                     ///< parallel to the op list
   int64_t bytes = 0;  ///< metadata footprint, the LRU accounting unit
-  /// Storage dtype of the plan's quantized weight planes (kF32 when it holds
-  /// none): a serving-side tag so mixed-dtype fleets can label cached
-  /// programs without walking the op list. Weights themselves stay out of
-  /// the cache entries regardless of dtype.
-  WeightDtype weight_dtype = WeightDtype::kF32;
 };
 
 /// Residency and traffic counters of one ProgramCache.
@@ -91,7 +79,7 @@ struct ProgramCacheStats {
 
 /// Compiles one program outside any cache: lays out the memory plan for
 /// `input` (throwing labeled ttsnn::Error on shapes the plan cannot run) and
-/// resolves every op's destination and schedule. Deterministic — the cache's
+/// resolves every op's destination. Deterministic — the cache's
 /// bit-identity guarantee reduces to this function being a pure function of
 /// (ops, analysis, input).
 CompiledProgram compile_program(const std::vector<Op>& ops,

@@ -131,20 +131,12 @@ Tensor gather_steps(const Tensor& x, const std::vector<int64_t>& idx) {
   Shape s = x.shape();
   s[0] = static_cast<int64_t>(idx.size());
   Tensor out = Tensor::empty(s);
-  gather_steps_into(x, idx, out);
-  return out;
-}
-
-void gather_steps_into(const Tensor& x, const std::vector<int64_t>& idx,
-                       Tensor& out) {
-  if (idx.empty()) return;
   const int64_t row = x.numel() / x.size(0);
-  TTSNN_CHECK(out.numel() == static_cast<int64_t>(idx.size()) * row,
-              "gather_steps_into size mismatch");
   for (size_t j = 0; j < idx.size(); ++j) {
     std::copy(x.data() + idx[j] * row, x.data() + (idx[j] + 1) * row,
               out.data() + static_cast<int64_t>(j) * row);
   }
+  return out;
 }
 
 void scatter_steps(Tensor& dst, const Tensor& src,

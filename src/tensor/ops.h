@@ -50,11 +50,6 @@ std::vector<int64_t> argmax_rows(const Tensor& logits);
 /// Gathers dim-0 rows listed in idx into a new tensor; empty idx returns an
 /// undefined tensor.
 Tensor gather_steps(const Tensor& x, const std::vector<int64_t>& idx);
-/// Gathers dim-0 rows of x listed in idx into `out`, which must already have
-/// shape [idx.size(), x dims 1..]. Allocation-free variant for callers that
-/// place the result in planned scratch (infer::Engine's HTT split).
-void gather_steps_into(const Tensor& x, const std::vector<int64_t>& idx,
-                       Tensor& out);
 /// Writes dim-0 rows of src into dst at the positions listed in idx.
 void scatter_steps(Tensor& dst, const Tensor& src,
                    const std::vector<int64_t>& idx);

@@ -124,17 +124,10 @@ TEST(PlanVerifierTest, RejectsSecondInputOnNonAddOps) {
 }
 
 TEST(PlanVerifierTest, RejectsMissingHttHalfKernel) {
-  Op op;
-  op.kind = Op::Kind::kTTHtt;
-  op.in = 0;
-  op.out = 1;
+  // A merged HTT conv: the schedule makes the half-step kernel mandatory.
+  Op op = conv_op(0, 1, 4, 8);
   op.tt.mode = TTMode::kHTT;
   op.tt.full_step = {true, false};
-  op.conv.in_channels = 4;
-  op.conv.out_channels = 8;
-  op.conv.kernel_h = 3;
-  op.conv.kernel_w = 3;
-  op.full_kernel = Tensor::zeros({8, 4, 3, 3});
   op.half_conv.in_channels = 4;
   op.half_conv.out_channels = 8;
   op.half_conv.kernel_h = 1;
@@ -221,17 +214,9 @@ TEST(MemoryPlanTest, RejectsWrongTebnTimestepsAtPlanTime) {
 }
 
 TEST(MemoryPlanTest, RejectsShortHttScheduleAtPlanTime) {
-  Op op;
-  op.kind = Op::Kind::kTTHtt;
-  op.in = 0;
-  op.out = 1;
+  Op op = conv_op(0, 1, 3, 4);  // a merged HTT conv
   op.tt.mode = TTMode::kHTT;
   op.tt.full_step = {true, false};
-  op.conv.in_channels = 3;
-  op.conv.out_channels = 4;
-  op.conv.kernel_h = 3;
-  op.conv.kernel_w = 3;
-  op.full_kernel = Tensor::zeros({4, 3, 3, 3});
   op.half_conv.in_channels = 3;
   op.half_conv.out_channels = 4;
   op.half_conv.kernel_h = 1;

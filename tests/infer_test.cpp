@@ -1,12 +1,15 @@
 // Tests for the compiled inference engine: exact (unmerged) lowering must
 // reproduce eval-mode Module::forward bit-for-bit in every TT mode —
 // including an HTT half-step schedule and stride-2 layers; merged lowering
-// must match merge_network() bit-for-bit; Engine::run must be thread-safe
+// must match merge_network() bit-for-bit, and merged HTT the gathered
+// per-class convolutions it replaced; Engine::run must be thread-safe
 // (identical bits from concurrent callers); and the save -> load -> compile
 // pipeline must reproduce the original model. Serving front-end tests live
 // in router_test.
 
 #include <cstdio>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,9 +18,12 @@
 #include "core/factorize.h"
 #include "core/models.h"
 #include "infer/engine.h"
+#include "nn/containers.h"
 #include "snn/serialize.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 
 namespace ttsnn {
 namespace {
@@ -133,6 +139,117 @@ TEST(InferTest, StridedHttLayerExactAndMerged) {
   Tensor y_merged = merged.run(x);
   ASSERT_EQ(y_merged.shape(), y_ref.shape());
   EXPECT_LT(max_abs_diff(y_merged, y_ref), 1e-4);
+}
+
+/// Test-side reference for one merged HTT conv op over x [T, N, C, H, W]:
+/// each class of steps gathered with gather_steps, convolved by
+/// conv_forward with the op's own operand (f32 tensor, bf16 plane
+/// dequantized, int8 plane) and scattered back — the algorithm the engine's
+/// per-step kernel pick replaced.
+Tensor gathered_htt_conv(const infer::Op& op, const Tensor& x) {
+  std::vector<int64_t> full_idx;
+  std::vector<int64_t> half_idx;
+  for (int64_t t = 0; t < x.size(0); ++t) {
+    (op.tt.full_step[static_cast<size_t>(t)] ? full_idx : half_idx)
+        .push_back(t);
+  }
+  Tensor y;
+  auto run_class = [&](const std::vector<int64_t>& idx, const Tensor& weight,
+                       const WeightPlane& plane, const Conv2d::Options& o) {
+    if (idx.empty()) return;
+    const Tensor xs = gather_steps(x, idx);
+    const ConvGeometry g = o.geometry(x.size(3), x.size(4));
+    ConvWeights w{.out_channels = o.out_channels};
+    std::vector<float> dequant;
+    if (!plane.quantized()) {
+      w.f32 = weight.data();
+    } else if (plane.dtype() == WeightDtype::kBf16) {
+      dequant.resize(static_cast<size_t>(plane.numel()));
+      simd::dequant_bf16(plane.numel(), plane.bf16_data(), dequant.data());
+      w.f32 = dequant.data();
+    } else {
+      w.s8 = plane.int8_data();
+      w.scales = plane.scales().data();
+    }
+    const size_t col = static_cast<size_t>(g.col_rows() * g.col_cols());
+    std::vector<float> col_buf(col);
+    std::vector<uint8_t> u8(col);
+    Tensor ys = Tensor::empty({xs.size(0), x.size(1), o.out_channels,
+                               g.out_h(), g.out_w()});
+    conv_forward(g, xs.size(0) * x.size(1), xs.data(), w, col_buf.data(),
+                 u8.data(), ys.data());
+    if (!y.defined()) {
+      Shape s = ys.shape();
+      s[0] = x.size(0);
+      y = Tensor::empty(s);
+    }
+    scatter_steps(y, ys, idx);
+  };
+  run_class(full_idx, op.weight, op.plane, op.conv);
+  run_class(half_idx, op.half_kernel, op.half_plane, op.half_conv);
+  return y;
+}
+
+// Merged HTT against the gathered reference, bitwise, on every weight dtype:
+// the conv's own output (LIF -> HTT, so int8 applies), and the spikes of a
+// trailing LIF with fusion on (the LIF runs as the conv's epilogue) and off.
+// Schedule 0110 starts on a half step.
+TEST(InferTest, MergedHttMatchesGatheredKernelsBitwise) {
+  const std::vector<std::vector<bool>> schedules = {
+      {true, true, false, false},
+      {true, false, true, false},
+      {false, true, true, false}};
+  for (const std::vector<bool>& schedule : schedules) {
+    for (int64_t stride : {1, 2}) {
+      // Identical weights in both models: same seed, same construction order.
+      auto make = [&](bool trailing_lif) {
+        Rng rng(71 + stride);
+        auto net = std::make_unique<Sequential>();
+        net->emplace<LIFNeuron>();
+        net->emplace<TTConv2d>(
+            TTConv2d::Options{.in_channels = 6, .out_channels = 8, .kernel = 3,
+                              .stride = stride, .rank = 3,
+                              .mode = TTMode::kHTT, .full_step = schedule},
+            rng);
+        if (trailing_lif) net->emplace<LIFNeuron>();
+        net->set_training(false);
+        return net;
+      };
+      const std::unique_ptr<Sequential> conv_net = make(false);
+      const std::unique_ptr<Sequential> lif_net = make(true);
+      Rng rng(5);
+      const Tensor x = Tensor::uniform({4, 3, 6, 10, 10}, rng);
+      const Tensor spikes = lif_forward_eval(LIFNeuron::Options{}, x);
+      for (WeightDtype dtype :
+           {WeightDtype::kF32, WeightDtype::kBf16, WeightDtype::kInt8}) {
+        std::string tag = "schedule ";
+        for (bool full : schedule) tag += full ? "1" : "0";
+        SCOPED_TRACE(tag + " stride " + std::to_string(stride) + " " +
+                     weight_dtype_name(dtype));
+        const infer::Engine conv =
+            infer::compile(*conv_net, {.weight_dtype = dtype});
+        ASSERT_EQ(conv.num_ops(), 2U);
+        const infer::Op& conv_op = conv.ops()[1];
+        ASSERT_EQ(conv_op.kind, infer::Op::Kind::kConv);
+        EXPECT_EQ(conv_op.plane.dtype(), dtype);
+        const Tensor want = gathered_htt_conv(conv_op, spikes);
+        EXPECT_EQ(max_abs_diff(conv.run(x), want), 0.0);
+
+        for (bool fuse : {true, false}) {
+          SCOPED_TRACE(fuse ? "fusion on" : "fusion off");
+          const infer::Engine e = infer::compile(
+              *lif_net, {.fuse_elementwise = fuse, .weight_dtype = dtype});
+          const infer::Op& op = e.ops()[1];
+          EXPECT_EQ(op.kind, fuse ? infer::Op::Kind::kConvLif
+                                  : infer::Op::Kind::kConv);
+          EXPECT_EQ(max_abs_diff(e.run(x), lif_forward_eval(
+                                               LIFNeuron::Options{},
+                                               gathered_htt_conv(op, spikes))),
+                    0.0);
+        }
+      }
+    }
+  }
 }
 
 TEST(InferTest, FoldingBatchnormShrinksThePlan) {

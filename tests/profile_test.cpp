@@ -1,11 +1,10 @@
-// Spike-profiling + energy-report tests: measured LIF densities feed the HW
-// workload (training <-> hardware loop), and the energy table formats.
+// Spike-profiling tests: measured LIF densities feed the HW workload
+// (training <-> hardware loop).
 
 #include <gtest/gtest.h>
 
 #include "core/models.h"
 #include "data/synthetic_image.h"
-#include "hw/report.h"
 #include "hw/sata_baseline.h"
 #include "hw/workload.h"
 #include "snn/profile.h"
@@ -62,25 +61,6 @@ TEST(ProfileTest, MeasuredDensityDrivesEnergy) {
   EnergyReport elo = simulate_sata(build_workload("lo", stats, lo));
   EnergyReport ehi = simulate_sata(build_workload("hi", stats, hi));
   EXPECT_LT(elo.total_pj(), ehi.total_pj());
-}
-
-TEST(ReportTest, TableContainsAllRowsAndRatio) {
-  EnergyReport a;
-  a.compute_pj = 2e6;
-  a.dram_pj = 2e6;
-  a.cycles = 100;
-  EnergyReport b = a;
-  b.dram_pj = 1e6;
-  std::string table = format_energy_table(
-      {{"existing", "STT", a}, {"existing", "PTT", b}}, 0.4);
-  EXPECT_NE(table.find("STT"), std::string::npos);
-  EXPECT_NE(table.find("PTT"), std::string::npos);
-  EXPECT_NE(table.find("1.000"), std::string::npos);  // self-ratio
-  EXPECT_NE(table.find("0.750"), std::string::npos);  // 3/4 ratio
-}
-
-TEST(ReportTest, EmptyTableThrows) {
-  EXPECT_THROW(format_energy_table({}, 0.4), Error);
 }
 
 }  // namespace

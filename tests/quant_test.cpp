@@ -332,10 +332,6 @@ TEST(QuantEndToEnd, AccuracyDeltaSweepAndFootprintAcrossModes) {
     EXPECT_GT(bf16.weight_footprint().bf16_bytes, 0);
     EXPECT_LT(int8.weight_bytes(), f32.weight_bytes());
     EXPECT_LT(bf16.weight_bytes(), f32.weight_bytes());
-
-    // Dtype tag on the compiled per-shape program.
-    EXPECT_EQ(int8.program(x.shape())->weight_dtype, WeightDtype::kInt8);
-    EXPECT_EQ(f32.program(x.shape())->weight_dtype, WeightDtype::kF32);
   }
 }
 
