@@ -2,7 +2,8 @@
 //   A. TT-rank sweep — accuracy vs parameter count trade-off.
 //   B. Surrogate gradient family — rectangle (paper) vs triangle/atan/sigmoid.
 //   C. detach_reset — detaching the LIF reset from the gradient path.
-//   D. PTT branch threading — serial vs two-thread strip execution.
+//   D. Spike density — training energy on both accelerator models.
+//   E. PTT branch threading — serial vs two-thread strip execution.
 
 #include <cstdio>
 

@@ -10,7 +10,7 @@
 //                 speedups. The `speedup_vs_naive` field is the headline,
 //                 read at 90% spike sparsity (density 0.1) for the sparse
 //                 kernel.
-//   elemwise_*  — scalar vs AVX2 tiers of the axpy/adam/lif kernels.
+//   elemwise_*  — scalar vs AVX2 tiers of the axpy/mul/lif kernels.
 //   dense_conv_forward, ttconv_forward/<mode>, ttconv_train_step/<mode>
 //               — a dense 3x3 Conv2d forward, then TTConv2d forward and
 //                 forward+backward per mode, all through the shared conv
@@ -632,14 +632,6 @@ int main(int argc, char** argv) {
     sign.mul_scalar_(2.0F).add_scalar_(-1.0F);
     bench_elemwise(report, "mul", n,
                    [&] { simd::mul(n, sign.data(), y.data()); });
-    Tensor g = Tensor::randn({n}, rng);
-    Tensor m = Tensor::zeros({n});
-    Tensor v = Tensor::zeros({n});
-    Tensor w = Tensor::randn({n}, rng);
-    bench_elemwise(report, "adam", n, [&] {
-      simd::adam_step(n, 1e-3F, 0.9F, 0.999F, 0.1F, 0.01F, 1e-8F, 1e-4F,
-                      g.data(), m.data(), v.data(), w.data());
-    });
     Tensor in = Tensor::randn({n}, rng);
     Tensor u = Tensor::zeros({n});
     Tensor s = Tensor::zeros({n});

@@ -5,11 +5,9 @@
 /// run over the four execution modes (baseline / STT / PTT / HTT) with the
 /// paper's recipe, returning the Table II metrics.
 ///
-/// Thread accounting (2-core CPU analog of the paper's GPU setup): modes
-/// without branch parallelism (baseline, STT) get 2-thread GEMMs — they may
-/// use the whole device, as cuDNN kernels would. PTT/HTT instead spend the
-/// second core on the parallel strip branches (1-thread GEMMs underneath),
-/// mirroring how the paper's PTT overlaps two CUDA streams.
+/// Thread accounting: every mode runs single-thread GEMMs. PTT/HTT overlap
+/// their two strip branches on the shared ThreadPool, mirroring how the
+/// paper's PTT overlaps two CUDA streams; baseline and STT have no branches.
 
 #include <cstdio>
 #include <string>
@@ -18,7 +16,6 @@
 #include "core/flops.h"
 #include "core/models.h"
 #include "snn/trainer.h"
-#include "tensor/gemm.h"
 
 namespace ttsnn {
 
@@ -64,8 +61,6 @@ inline BenchRun run_mode(BenchMode mode, const BenchSetup& setup,
   Rng rng(setup.model_seed);
   ModulePtr net = setup.make_model(setup.model, rng);
 
-  const bool branch_parallel =
-      mode == BenchMode::kPTT || mode == BenchMode::kHTT;
   if (mode != BenchMode::kBaseline) {
     FactorizeOptions f;
     f.mode = mode == BenchMode::kSTT  ? TTMode::kSTT
@@ -73,7 +68,6 @@ inline BenchRun run_mode(BenchMode mode, const BenchSetup& setup,
                                        : TTMode::kHTT;
     f.use_vbmf = false;
     f.rank_fraction = setup.rank_fraction;
-    f.parallel_branches = branch_parallel;
     if (f.mode == TTMode::kHTT) {
       f.htt_schedule = setup.htt_schedule;
       if (f.htt_schedule.empty()) {
@@ -86,15 +80,8 @@ inline BenchRun run_mode(BenchMode mode, const BenchSetup& setup,
     factorize_network(*net, f, rng);
   }
 
-  // See the file comment: full-device GEMMs for serial modes, branch threads
-  // for the parallel modes. The guard restores whatever setting the caller
-  // had, so one bench cannot leak its thread count into the next.
-  FitResult fit;
-  {
-    GemmThreadsGuard gemm_guard(branch_parallel ? 1 : 2);
-    Trainer trainer(*net, train, test, setup.train);
-    fit = trainer.fit();
-  }
+  Trainer trainer(*net, train, test, setup.train);
+  const FitResult fit = trainer.fit();
 
   ModelStats stats = analyze_model(*net, setup.model.in_channels,
                                    setup.input_size, setup.input_size);

@@ -291,23 +291,19 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     const ConvGeometry g = o.geometry(h, w);
     if (!g.pointwise()) f.col = std::max(f.col, g.col_rows() * g.col_cols());
   };
-  // Quantized-plane scratch of one conv kernel, taken by the engine's
-  // resolve_kernel after any kConvLif membrane plane: bf16 dequantizes the
-  // whole kernel into an f32 buffer once per op call; for int8,
-  // conv_forward converts each lowered spike tile into the transposed u8
-  // matrix held here (bytes packed into the float workspace).
-  auto see_plane = [&f](const WeightPlane& p, const Shape& s,
-                        const Conv2d::Options& o) {
-    if (!p.quantized()) return;
-    if (p.dtype() == WeightDtype::kBf16) {
-      f.scratch += align_up(p.numel());
-      return;
-    }
+  // Bytes of the transposed u8 matrix an int8 kernel converts each lowered
+  // spike image into (0 for f32/bf16, or while an extent is unknown).
+  auto tile_bytes = [](const WeightPlane& p, const Shape& s,
+                       const Conv2d::Options& o) -> int64_t {
     const int64_t h = s[s.size() - 2];
     const int64_t w = s[s.size() - 1];
-    if (!known(h) || !known(w)) return;
+    if (p.dtype() != WeightDtype::kInt8 || !known(h) || !known(w)) return 0;
     const ConvGeometry g = o.geometry(h, w);
-    f.scratch += align_up((g.col_rows() * g.col_cols() + 3) / 4);
+    return g.col_rows() * g.col_cols();
+  };
+  // A bf16 kernel dequantizes whole into an f32 buffer once per op call.
+  auto see_bf16 = [&f](const WeightPlane& p) {
+    if (p.dtype() == WeightDtype::kBf16) f.scratch += align_up(p.numel());
   };
 
   switch (op.kind) {
@@ -336,10 +332,16 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
         const int64_t n = sym_numel(f.out);
         if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
       }
-      // On top of the membrane: the full kernel's plane scratch, then the
-      // half kernel's.
-      see_plane(op.plane, in, op.conv);
-      if (htt) see_plane(op.half_plane, in, op.half_conv);
+      // On top of the membrane, as the engine's run_conv takes them: one u8
+      // tile (bytes packed into the float workspace) shared by both kernels
+      // of a merged HTT conv, whose steps run one at a time, so sized for
+      // the larger; then the full kernel's bf16 buffer and the half
+      // kernel's, both read across the step loop.
+      int64_t tile = tile_bytes(op.plane, in, op.conv);
+      if (htt) tile = std::max(tile, tile_bytes(op.half_plane, in, op.half_conv));
+      if (tile > 0) f.scratch += align_up((tile + 3) / 4);
+      see_bf16(op.plane);
+      if (htt) see_bf16(op.half_plane);
       break;
     }
 

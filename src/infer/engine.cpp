@@ -143,7 +143,8 @@ Shape conv_shape(const Tensor& x, const Conv2d::Options& opts) {
 /// reads at x's spatial size. An f32 kernel is read in place; a quantized
 /// `plane` takes its scratch here, in op_footprint's order: bf16 dequantizes
 /// into scratch once per op call and runs the identical f32 GEMM; int8 runs
-/// the integer spike-GEMM with per-channel rescale through a u8 tile buffer.
+/// the integer spike-GEMM with per-channel rescale through the caller's u8
+/// tile buffer `tile` (int8_tile_bytes long, at least).
 struct ConvKernel {
   ConvGeometry g;
   ConvWeights w;
@@ -151,13 +152,21 @@ struct ConvKernel {
   uint8_t* u8 = nullptr;  ///< int8 only
 };
 
+/// Bytes of the u8 tile an int8 `plane` converts each lowered spike image
+/// into at x's spatial size; 0 for an f32 or bf16 plane.
+int64_t int8_tile_bytes(const WeightPlane& plane, const Conv2d::Options& opts,
+                        const Tensor& x) {
+  if (plane.dtype() != WeightDtype::kInt8) return 0;
+  const ConvGeometry g = opts.geometry(x.size(-2), x.size(-1));
+  return g.col_rows() * g.col_cols();
+}
+
 ConvKernel resolve_kernel(const Tensor& weight, const WeightPlane& plane,
                           const Conv2d::Options& opts, const Tensor& x,
-                          PlannedCtx& ctx) {
+                          PlannedCtx& ctx, uint8_t* tile) {
   ConvKernel k{.g = opts.geometry(x.size(-2), x.size(-1)),
                .w = {.out_channels = opts.out_channels}};
-  const int64_t col_floats = k.g.col_rows() * k.g.col_cols();
-  if (!k.g.pointwise()) k.col = ctx.col(col_floats);
+  if (!k.g.pointwise()) k.col = ctx.col(k.g.col_rows() * k.g.col_cols());
   if (!plane.quantized()) {
     k.w.f32 = weight.data();
   } else if (plane.dtype() == WeightDtype::kBf16) {
@@ -167,7 +176,7 @@ ConvKernel resolve_kernel(const Tensor& weight, const WeightPlane& plane,
   } else {
     k.w.s8 = plane.int8_data();
     k.w.scales = plane.scales().data();
-    k.u8 = reinterpret_cast<uint8_t*>(ctx.raw((col_floats + 3) / 4));
+    k.u8 = tile;
   }
   return k;
 }
@@ -205,16 +214,27 @@ Tensor run_conv(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   if (epi.bias != nullptr || lif) {
     epilogue = {.fn = run_tile_epilogue, .ctx = &epi};
   }
-  // After the membrane plane: the full kernel's scratch, then the half
-  // kernel's.
-  const ConvKernel full = resolve_kernel(op.weight, op.plane, op.conv, x, ctx);
+  // After the membrane plane: one u8 tile for the int8 kernels, then the
+  // full kernel's bf16 buffer, then the half kernel's. A merged HTT conv
+  // runs its steps one at a time, so both kernels share the tile, sized for
+  // the larger (the full kernel's K*K*C rows against the half's C).
+  int64_t tile_bytes = int8_tile_bytes(op.plane, op.conv, x);
+  if (!schedule.empty()) {
+    tile_bytes =
+        std::max(tile_bytes, int8_tile_bytes(op.half_plane, op.half_conv, x));
+  }
+  uint8_t* tile = tile_bytes == 0 ? nullptr
+                                  : reinterpret_cast<uint8_t*>(
+                                        ctx.raw((tile_bytes + 3) / 4));
+  const ConvKernel full =
+      resolve_kernel(op.weight, op.plane, op.conv, x, ctx, tile);
   if (schedule.empty()) {
     conv_forward(full.g, images(x), x.data(), full.w, full.col, full.u8,
                  out.data(), epilogue);
     return out;
   }
   const ConvKernel half =
-      resolve_kernel(op.half_kernel, op.half_plane, op.half_conv, x, ctx);
+      resolve_kernel(op.half_kernel, op.half_plane, op.half_conv, x, ctx, tile);
   // plan_memory rejected a schedule shorter than T before any kernel ran.
   const int64_t steps = x.size(0);
   const int64_t x_step = x.numel() / steps;
@@ -240,7 +260,7 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, PlannedCtx& ctx) {
                   Tensor dst) {
     TTSNN_CHECK(dst.shape() == conv_shape(in, o),
                 "infer: planned shape drift at op " << ctx.op_index);
-    const ConvKernel k = resolve_kernel(w, f32, o, in, ctx);
+    const ConvKernel k = resolve_kernel(w, f32, o, in, ctx, nullptr);
     conv_forward(k.g, images(in), in.data(), k.w, k.col, nullptr, dst.data());
   };
   auto core_temp = [&](const Tensor& in, const Tensor& w,

@@ -15,6 +15,12 @@ namespace {
 
 using TimePoint = std::chrono::steady_clock::time_point;
 
+/// How often a dispatcher whose shard is empty polls the other shards for
+/// stealable work while the router holds queued requests; it polls
+/// kIdleStealPollFactor times slower when the router is fully idle.
+constexpr double kStealPollMs = 1.0;
+constexpr double kIdleStealPollFactor = 20.0;
+
 TimePoint group_deadline(const TimePoint& arrival, double max_delay_ms) {
   return arrival +
          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -51,7 +57,6 @@ Router::Router(const Engine& engine, RouterOptions opts) : opts_(opts) {
   TTSNN_CHECK(opts_.dispatchers_per_shard >= 1,
               "Router needs >= 1 dispatcher per shard");
   TTSNN_CHECK(opts_.queue_bytes >= 0, "Router queue_bytes must be >= 0");
-  TTSNN_CHECK(opts_.steal_poll_ms > 0.0, "Router steal_poll_ms must be > 0");
   TTSNN_CHECK(opts_.quarantine_after >= 0,
               "Router quarantine_after must be >= 0 (0 disables)");
   TTSNN_CHECK(opts_.probe_interval_ms > 0.0,
@@ -482,7 +487,7 @@ std::vector<Router::Request> Router::try_steal(Shard& thief) {
 
 std::vector<Router::Request> Router::next_batch(Shard& shard, bool* stopped) {
   *stopped = false;
-  const bool can_steal = opts_.work_stealing && shards_.size() > 1;
+  const bool can_steal = shards_.size() > 1;
   const bool health_on = opts_.quarantine_after > 0;
   std::unique_lock<std::mutex> lock(shard.mu);
   for (;;) {
@@ -542,10 +547,9 @@ std::vector<Router::Request> Router::next_batch(Shard& shard, bool* stopped) {
     lock.unlock();
     std::vector<Request> stolen = try_steal(shard);
     if (!stolen.empty()) return stolen;
-    const double poll_ms =
-        total_queued_.load(std::memory_order_relaxed) > 0
-            ? opts_.steal_poll_ms
-            : opts_.steal_poll_ms * 20.0;
+    const double poll_ms = total_queued_.load(std::memory_order_relaxed) > 0
+                               ? kStealPollMs
+                               : kStealPollMs * kIdleStealPollFactor;
     lock.lock();
     shard.cv.wait_for(lock, ms_duration(poll_ms), [&shard] {
       return shard.stop || !shard.groups.empty();

@@ -26,7 +26,6 @@
 ///   │ Engine replica 0       │  │    steal ready groups  │
 ///   │ health: fails/probe    │  └───────────┬────────────┘
 ///   └───────────┬────────────┘              │
-///               └────────── shared ThreadPool ───────────┘
 ///               └──────── shared ProgramCache ───────────┘
 ///
 ///  - Every shard keeps one queue PER (SHAPE, PRIORITY CLASS) GROUP, each
@@ -134,12 +133,6 @@ struct RouterOptions {
   /// Admission budget: maximum queued sample bytes PER SHARD before submit()
   /// sheds with AdmissionError. 0 = unbounded (no admission control).
   int64_t queue_bytes = 0;
-  /// Let a dispatcher whose shard is empty pull ready work from the
-  /// most-loaded other shard. Only meaningful with num_shards > 1.
-  bool work_stealing = true;
-  /// How often an empty-shard dispatcher polls for stealable work while the
-  /// router holds queued requests (it polls 20x slower when fully idle).
-  double steal_poll_ms = 1.0;
   /// Consecutive batch failures on one replica before it is quarantined:
   /// new traffic re-routes to healthy shards and its queue drains on a
   /// healthy replica. 0 disables health tracking entirely.

@@ -1,18 +1,14 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "tensor/simd.h"
 #include "tensor/spike_plane.h"
 #include "util/common.h"
-#include "util/thread_pool.h"
 
 namespace ttsnn {
 
 namespace {
-
-std::atomic<int> g_gemm_threads{1};
 
 /// Minimum problem size for attempting a SpikePlane build on B (the build
 /// scans k*n floats; at m >= 4 that is at most 1/8 of the nominal work).
@@ -49,19 +45,6 @@ void scale_c(float beta, int64_t mn, float* c) {
 
 }  // namespace
 
-void set_gemm_threads(int threads) {
-  TTSNN_CHECK(threads >= 1, "gemm thread count must be >= 1");
-  g_gemm_threads.store(threads);
-}
-
-int gemm_threads() { return g_gemm_threads.load(); }
-
-GemmThreadsGuard::GemmThreadsGuard(int threads) : prev_(gemm_threads()) {
-  set_gemm_threads(threads);
-}
-
-GemmThreadsGuard::~GemmThreadsGuard() { set_gemm_threads(prev_); }
-
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
   TTSNN_CHECK(m >= 0 && n >= 0 && k >= 0, "negative gemm dims");
@@ -89,32 +72,19 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
              plane.build(b, b_rows, b_cols, kSparseMaxDensity);
   }
 
-  auto run_rows = [&](int64_t m0, int64_t m1) {
-    if (sparse) {
-      if (trans_b) {
-        spmm_nt_rows(m0, m1, n, k, alpha, a, plane, c);
-      } else {
-        spmm_nn_rows(m0, m1, n, k, alpha, a, plane, c);
-      }
-    } else if (trans_a) {
-      simd::gemm_tn_rows(m0, m1, n, k, m, alpha, a, b, c);
-    } else if (trans_b) {
-      simd::gemm_nt_rows(m0, m1, n, k, alpha, a, b, c);
+  if (sparse) {
+    if (trans_b) {
+      spmm_nt_rows(0, m, n, k, alpha, a, plane, c);
     } else {
-      simd::gemm_nn_rows(m0, m1, n, k, alpha, a, b, c);
+      spmm_nn_rows(0, m, n, k, alpha, a, plane, c);
     }
-  };
-
-  const int threads = g_gemm_threads.load();
-  const bool parallel = threads > 1 && m >= 2 * threads && m * n * k > (1 << 16);
-  if (!parallel) {
-    run_rows(0, m);
-    return;
+  } else if (trans_a) {
+    simd::gemm_tn_rows(0, m, n, k, m, alpha, a, b, c);
+  } else if (trans_b) {
+    simd::gemm_nt_rows(0, m, n, k, alpha, a, b, c);
+  } else {
+    simd::gemm_nn_rows(0, m, n, k, alpha, a, b, c);
   }
-  // Row strips on the shared pool; chunk size caps the fan-out at `threads`
-  // concurrent strips, preserving the pre-pool oversubscription budget.
-  const int64_t chunk = (m + threads - 1) / threads;
-  parallel_for(m, run_rows, chunk);
 }
 
 }  // namespace ttsnn

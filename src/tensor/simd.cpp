@@ -242,22 +242,6 @@ void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
   }
 }
 
-void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
-               float bc2, float eps, float decay, const float* g, float* m,
-               float* v, float* w) {
-  if (use_avx2()) {
-    return avx2::adam_step(n, lr, beta1, beta2, bc1, bc2, eps, decay, g, m, v,
-                           w);
-  }
-  for (int64_t j = 0; j < n; ++j) {
-    m[j] = beta1 * m[j] + (1.0F - beta1) * g[j];
-    v[j] = beta2 * v[j] + (1.0F - beta2) * g[j] * g[j];
-    const float m_hat = m[j] / bc1;
-    const float v_hat = v[j] / bc2;
-    w[j] -= lr * (m_hat / (std::sqrt(v_hat) + eps) + decay * w[j]);
-  }
-}
-
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w) {
   if (use_avx2()) return avx2::sgd_step(n, lr, momentum, decay, g, v, w);

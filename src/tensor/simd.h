@@ -121,19 +121,14 @@ void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
 void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
                 bool swap, const float* x, const float* other, float* y);
 
-/// Fused Adam update for one parameter block; bc1/bc2 are the bias-correction
-/// denominators 1 - beta^t.
-void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
-               float bc2, float eps, float decay, const float* g, float* m,
-               float* v, float* w);
 /// Fused SGD-with-momentum update: v = mu*v + g + decay*w; w -= lr*v.
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w);
 
 // ---- dense GEMM row kernels ------------------------------------------------
 // Row strips of C += alpha * op(A) * op(B) over packed row-major operands;
-// gemm() (tensor/gemm.h) scales C by beta and fans the strips out over the
-// pool. Every C element accumulates its k contributions in ascending order
+// gemm() (tensor/gemm.h) scales C by beta and runs rows [0, m) on the
+// calling thread. Every C element accumulates its k contributions in ascending order
 // with unfused mul+add, and a zero A element is skipped (it would only add
 // ±0.0), so both tiers return the same bits on finite inputs. The AVX2 NN/TN
 // kernels tile n into cache-resident panels and update four C rows per

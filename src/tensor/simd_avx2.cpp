@@ -6,8 +6,8 @@
 /// Bit-identity: every kernel uses separate vmulps/vaddps (never FMA) in the
 /// exact per-element order of the scalar loops in simd.cpp, scalar tail loops
 /// repeat the same expressions, and the TU is built with -ffp-contract=off so
-/// the compiler cannot fuse the tails either. vsqrtps / vdivps are correctly
-/// rounded, matching their scalar counterparts bit-for-bit.
+/// the compiler cannot fuse the tails either. vdivps is correctly rounded,
+/// matching its scalar counterpart bit-for-bit.
 
 #include "tensor/simd_kernels.h"
 
@@ -338,47 +338,6 @@ void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
   }
 }
 
-void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
-               float bc2, float eps, float decay, const float* g, float* m,
-               float* v, float* w) {
-  const __m256 vb1 = _mm256_set1_ps(beta1);
-  const __m256 vb1c = _mm256_set1_ps(1.0F - beta1);
-  const __m256 vb2 = _mm256_set1_ps(beta2);
-  const __m256 vb2c = _mm256_set1_ps(1.0F - beta2);
-  const __m256 vbc1 = _mm256_set1_ps(bc1);
-  const __m256 vbc2 = _mm256_set1_ps(bc2);
-  const __m256 veps = _mm256_set1_ps(eps);
-  const __m256 vlr = _mm256_set1_ps(lr);
-  const __m256 vdecay = _mm256_set1_ps(decay);
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 vg = _mm256_loadu_ps(g + j);
-    __m256 vm = _mm256_loadu_ps(m + j);
-    __m256 vv = _mm256_loadu_ps(v + j);
-    __m256 vw = _mm256_loadu_ps(w + j);
-    vm = _mm256_add_ps(_mm256_mul_ps(vb1, vm), _mm256_mul_ps(vb1c, vg));
-    // ((1-b2) * g) * g — the scalar expression is left-associative, and the
-    // other grouping differs by an ulp.
-    vv = _mm256_add_ps(_mm256_mul_ps(vb2, vv),
-                       _mm256_mul_ps(_mm256_mul_ps(vb2c, vg), vg));
-    _mm256_storeu_ps(m + j, vm);
-    _mm256_storeu_ps(v + j, vv);
-    const __m256 m_hat = _mm256_div_ps(vm, vbc1);
-    const __m256 v_hat = _mm256_div_ps(vv, vbc2);
-    const __m256 denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), veps);
-    const __m256 update = _mm256_add_ps(_mm256_div_ps(m_hat, denom),
-                                        _mm256_mul_ps(vdecay, vw));
-    _mm256_storeu_ps(w + j, _mm256_sub_ps(vw, _mm256_mul_ps(vlr, update)));
-  }
-  for (; j < n; ++j) {
-    m[j] = beta1 * m[j] + (1.0F - beta1) * g[j];
-    v[j] = beta2 * v[j] + (1.0F - beta2) * g[j] * g[j];
-    const float m_hat = m[j] / bc1;
-    const float v_hat = v[j] / bc2;
-    w[j] -= lr * (m_hat / (std::sqrt(v_hat) + eps) + decay * w[j]);
-  }
-}
-
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w) {
   const __m256 vmom = _mm256_set1_ps(momentum);
@@ -668,8 +627,6 @@ void add_lif_step(int64_t, float, float, bool, const float*, const float*,
                   float*, float*) {}
 void affine_add(int64_t, float, float, float, float, bool, const float*,
                 const float*, float*) {}
-void adam_step(int64_t, float, float, float, float, float, float, float,
-               const float*, float*, float*, float*) {}
 void sgd_step(int64_t, float, float, float, const float*, float*, float*) {}
 void gemm_nn_rows(int64_t, int64_t, int64_t, int64_t, float, const float*,
                   const float*, float*) {}

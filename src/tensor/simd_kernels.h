@@ -35,9 +35,6 @@ void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
                   const float* a, const float* b, float* u_post, float* s_out);
 void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
                 bool swap, const float* x, const float* other, float* y);
-void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
-               float bc2, float eps, float decay, const float* g, float* m,
-               float* v, float* w);
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w);
 void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,

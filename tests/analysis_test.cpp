@@ -14,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ttconv.h"
 #include "infer/analysis.h"
 #include "infer/engine.h"
 #include "layout_check.h"
 #include "model_gen.h"
 #include "nn/containers.h"
+#include "nn/lif.h"
 #include "nn/linear.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
@@ -225,6 +227,37 @@ TEST(MemoryPlanTest, RejectsShortHttScheduleAtPlanTime) {
   const infer::PlanAnalysis an = infer::analyze_plan({op}, 2, 1);
   EXPECT_THROW(infer::plan_memory({op}, an, {4, 1, 3, 8, 8}), Error);
   EXPECT_NO_THROW(infer::plan_memory({op}, an, {2, 1, 3, 8, 8}));
+}
+
+// An int8 merged HTT conv runs its timesteps one at a time, so its full and
+// half kernels share one u8 tile, sized for the larger (the full kernel's).
+TEST(MemoryPlanTest, Int8MergedHttConvTakesOneTile) {
+  Rng rng(73);
+  Sequential net;
+  net.emplace<LIFNeuron>();
+  net.emplace<TTConv2d>(
+      TTConv2d::Options{.in_channels = 6, .out_channels = 8, .kernel = 3,
+                        .rank = 3, .mode = TTMode::kHTT,
+                        .full_step = {true, true, false, false}},
+      rng);
+  net.emplace<LIFNeuron>();
+  net.set_training(false);
+  const infer::Engine engine =
+      infer::compile(net, {.weight_dtype = WeightDtype::kInt8});
+  ASSERT_EQ(engine.num_ops(), 2U);
+  const Op& op = engine.ops()[1];
+  ASSERT_EQ(op.kind, Op::Kind::kConvLif);
+  ASSERT_EQ(op.plane.dtype(), WeightDtype::kInt8);
+  ASSERT_EQ(op.half_plane.dtype(), WeightDtype::kInt8);
+
+  const int64_t n = 2, hw = 10 * 10;
+  const infer::MemoryPlan plan =
+      infer::plan_memory(engine.ops(), engine.analysis(), {4, n, 6, 10, 10});
+  const int64_t membrane = n * 8 * hw;          // one step of the output
+  const int64_t full_tile_bytes = 6 * 3 * 3 * hw;  // [C_in * K * K, OH * OW]
+  EXPECT_EQ(plan.scratch_floats,
+            infer::plan_align_up(membrane) +
+                infer::plan_align_up((full_tile_bytes + 3) / 4));
 }
 
 // ---- liveness / alias / in-place -------------------------------------------

@@ -20,7 +20,6 @@
 #include "infer/engine.h"
 #include "nn/containers.h"
 #include "snn/serialize.h"
-#include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -325,9 +324,6 @@ TEST(InferTest, ConcurrentRunsAreBitIdentical) {
     golden.push_back(engine.run(inputs.back()));
   }
 
-  // Raise the gemm fan-out so concurrent runs also contend on the shared
-  // thread pool, not just on the engine.
-  GemmThreadsGuard guard(2);
   std::vector<std::thread> threads;
   std::vector<double> worst(kThreads, -1.0);
   for (int t = 0; t < kThreads; ++t) {

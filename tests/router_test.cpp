@@ -25,7 +25,6 @@
 #include "core/models.h"
 #include "infer/engine.h"
 #include "infer/router.h"
-#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/failpoint.h"
 
@@ -244,12 +243,6 @@ TEST(RouterTest, ShapeFloodDoesNotBlockOtherShapesAcrossShards) {
   const Shape shape_a{4, 3, 16, 16};
   const Shape shape_b{4, 3, 8, 8};
 
-  // Keep every Engine::run on its own dispatcher thread (no pool fan-out):
-  // the assertion below is about queue isolation between shards, and shard
-  // count deliberately does NOT isolate shared-pool compute lanes — a flood
-  // hogging the pool would inflate the probe's run time for reasons this
-  // test is not about.
-  GemmThreadsGuard gemm_guard(1);
   infer::Router router(engine, {.num_shards = 2, .max_batch = 8,
                                 .max_delay_ms = kDelayMs,
                                 .dispatchers_per_shard = 1});
@@ -492,9 +485,7 @@ TEST(RouterTest, IdleShardStealsReadyWorkBitIdentically) {
   const Shape shape{4, 3, 8, 8};
   infer::Router router(engine, {.num_shards = 2, .max_batch = 2,
                                 .max_delay_ms = 1.0,
-                                .dispatchers_per_shard = 1,
-                                .work_stealing = true,
-                                .steal_poll_ms = 0.5});
+                                .dispatchers_per_shard = 1});
   const uint64_t session = session_on_shard(router, shape, 0);
 
   Rng rng(53);

@@ -169,16 +169,11 @@ TEST(SimdKernelTest, LifBackwardBitwiseAcrossTails) {
   }
 }
 
-TEST(SimdKernelTest, AdamAndSgdBitwiseAcrossTails) {
+TEST(SimdKernelTest, SgdBitwiseAcrossTails) {
   for (int64_t n : kSizes) {
-    expect_tiers_bitwise(n, 4, [n](auto& b) {
-      // The second-moment buffer must be non-negative or sqrt produces NaNs
-      // (whose payloads are not specified across scalar/vector sqrt).
-      for (float& v : b[2]) v = v * v;
-      simd::adam_step(n, 1e-3F, 0.9F, 0.999F, 0.1F, 0.0199F, 1e-8F, 1e-4F,
-                      b[0].data(), b[1].data(), b[2].data(), b[3].data());
-      simd::sgd_step(n, 0.1F, 0.9F, 1e-4F, b[0].data(), b[2].data(),
-                     b[3].data());
+    expect_tiers_bitwise(n, 3, [n](auto& b) {
+      simd::sgd_step(n, 0.1F, 0.9F, 1e-4F, b[0].data(), b[1].data(),
+                     b[2].data());
     });
   }
 }
@@ -188,7 +183,6 @@ TEST(SimdKernelTest, AdamAndSgdBitwiseAcrossTails) {
 Tensor run_gemm(simd::Level level, bool trans_a, bool trans_b, int64_t m,
                 int64_t n, int64_t k, const Tensor& a, const Tensor& b) {
   simd::LevelGuard guard(level);
-  GemmThreadsGuard threads(1);
   Tensor c = Tensor::zeros({m, n});
   gemm(trans_a, trans_b, m, n, k, 1.0F, a.data(), b.data(), 0.0F, c.data());
   return c;
@@ -196,12 +190,17 @@ Tensor run_gemm(simd::Level level, bool trans_a, bool trans_b, int64_t m,
 
 TEST(SimdGemmTest, SimdMatchesNaiveBitwise) {
   if (!has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
-  // Odd shapes exercise the panel, 8-lane and 4-column tails; a bernoulli-
-  // masked A exercises the zero-skip branches of the 4-row microkernel. B is
-  // dense normal, so gemm() never takes the spike-plane path here.
+  // Odd shapes exercise the panel, 8-lane, 4-column and 4-row tails; a
+  // bernoulli-masked A exercises the zero-skip branches of the 4-row
+  // microkernel, and a pure 0/1 A the spike-activation operand. B is dense
+  // normal, so gemm() never takes the spike-plane path here.
   const int64_t shapes[][3] = {
       {1, 1, 1}, {3, 5, 7}, {17, 9, 33}, {33, 129, 65}, {65, 31, 129},
-      {128, 257, 64}};
+      {128, 257, 64}, {129, 67, 65}};
+  const struct {
+    float density;
+    bool binary;
+  } a_kinds[] = {{0.4F, false}, {1.0F, false}, {0.4F, true}};
   const struct {
     bool trans_a;
     bool trans_b;
@@ -211,10 +210,15 @@ TEST(SimdGemmTest, SimdMatchesNaiveBitwise) {
   for (const auto& o : orients) {
     for (const auto& s : shapes) {
       const int64_t m = s[0], n = s[1], k = s[2];
-      for (float density : {0.4F, 1.0F}) {
-        Tensor a = o.trans_a ? Tensor::randn({k, m}, rng)
-                             : Tensor::randn({m, k}, rng);
-        a.mul_(Tensor::bernoulli(a.shape(), rng, density));
+      for (const auto& ak : a_kinds) {
+        const Shape a_shape = o.trans_a ? Shape{k, m} : Shape{m, k};
+        Tensor a;
+        if (ak.binary) {
+          a = Tensor::bernoulli(a_shape, rng, ak.density);
+        } else {
+          a = Tensor::randn(a_shape, rng);
+          a.mul_(Tensor::bernoulli(a_shape, rng, ak.density));
+        }
         Tensor b = o.trans_b ? Tensor::randn({n, k}, rng)
                              : Tensor::randn({k, n}, rng);
         Tensor ref = run_gemm(simd::Level::kScalar, o.trans_a, o.trans_b, m, n,
@@ -225,7 +229,7 @@ TEST(SimdGemmTest, SimdMatchesNaiveBitwise) {
                               static_cast<size_t>(ref.numel()) * sizeof(float)),
                   0)
             << o.name << " m=" << m << " n=" << n << " k=" << k
-            << " density=" << density;
+            << " density=" << ak.density << " binary=" << ak.binary;
       }
     }
   }

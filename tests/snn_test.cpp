@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "snn/adam.h"
 #include "snn/augment.h"
 #include "snn/encoder.h"
 #include "snn/loss.h"
@@ -151,49 +150,6 @@ TEST(OptimizerTest, ZeroGradClears) {
   SGD sgd({&p}, {});
   sgd.zero_grad();
   EXPECT_DOUBLE_EQ(p.grad.sum(), 0.0);
-}
-
-TEST(AdamTest, DescendsQuadratic) {
-  Parameter p("w", Tensor({2}, {1.0F, -2.0F}));
-  Adam adam({&p}, {.lr = 0.05F});
-  for (int i = 0; i < 300; ++i) {
-    p.grad = p.value.clone();
-    adam.step();
-  }
-  EXPECT_LT(std::fabs(p.value[0]), 1e-2);
-  EXPECT_LT(std::fabs(p.value[1]), 1e-2);
-}
-
-TEST(AdamTest, FirstStepIsLrSizedRegardlessOfGradScale) {
-  // Bias correction: the first update magnitude is ~lr for any grad scale.
-  for (float scale : {1e-3F, 1.0F, 1e3F}) {
-    Parameter p("w", Tensor({1}, {0.0F}));
-    Adam adam({&p}, {.lr = 0.1F});
-    p.grad = Tensor({1}, {scale});
-    adam.step();
-    EXPECT_NEAR(std::fabs(p.value[0]), 0.1F, 0.01F) << "scale " << scale;
-  }
-}
-
-TEST(AdamTest, DecoupledWeightDecayShrinks) {
-  Parameter p("w", Tensor({1}, {1.0F}));
-  Adam adam({&p}, {.lr = 0.1F, .weight_decay = 0.5F});
-  p.grad.zero_();
-  adam.step();
-  EXPECT_NEAR(p.value[0], 1.0F - 0.1F * 0.5F, 1e-6);
-  // decay=false parameters are untouched.
-  Parameter q("bn.gamma", Tensor({1}, {1.0F}), /*apply_decay=*/false);
-  Adam adam2({&q}, {.lr = 0.1F, .weight_decay = 0.5F});
-  q.grad.zero_();
-  adam2.step();
-  EXPECT_FLOAT_EQ(q.value[0], 1.0F);
-}
-
-TEST(AdamTest, RejectsBadOptions) {
-  Parameter p("w", Tensor({1}, {1.0F}));
-  EXPECT_THROW(Adam({&p}, {.lr = 0.0F}), Error);
-  EXPECT_THROW(Adam({&p}, {.beta1 = 1.0F}), Error);
-  EXPECT_THROW(Adam({}, {}), Error);
 }
 
 TEST(CosineLrTest, AnnealsFromBaseToZero) {

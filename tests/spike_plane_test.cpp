@@ -141,29 +141,12 @@ TEST(SpikePlaneGemmTest, AutoSelectionStaysBitIdenticalOnSpikes) {
   Rng rng(17);
   const int64_t m = 64, n = 256, k = 288;
   Tensor a = Tensor::randn({m, k}, rng);
-  GemmThreadsGuard threads(1);
   for (float density : {0.05F, 0.2F}) {
     Tensor b = Tensor::bernoulli({k, n}, rng, density);
     const Tensor ref =
         dense_ref(false, m, n, k, 1.0F, a, b, Tensor::zeros({m, n}));
     EXPECT_TRUE(bit_identical(ref, run_gemm(false, m, n, k, a, b)))
         << "density=" << density;
-  }
-}
-
-TEST(SpikePlaneGemmTest, SparseMatchesAcrossThreadCounts) {
-  // Spike-sparse B through gemm()'s own selection, with the row strips
-  // fanned out over the pool.
-  Rng rng(19);
-  const int64_t m = 32, n = 64, k = 128;
-  Tensor a = Tensor::randn({m, k}, rng);
-  Tensor b = Tensor::bernoulli({k, n}, rng, 0.1F);
-  const Tensor ref =
-      dense_ref(false, m, n, k, 1.0F, a, b, Tensor::zeros({m, n}));
-  for (int threads : {1, 2, 4}) {
-    GemmThreadsGuard tguard(threads);
-    EXPECT_TRUE(bit_identical(ref, run_gemm(false, m, n, k, a, b)))
-        << "threads=" << threads;
   }
 }
 

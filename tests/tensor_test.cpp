@@ -214,34 +214,6 @@ TEST(OpsTest, GemmBetaAccumulates) {
   EXPECT_FLOAT_EQ(c[0], 5.0F);
 }
 
-TEST(OpsTest, GemmParallelMatchesSerial) {
-  Rng rng(11);
-  Tensor a = Tensor::randn({64, 48}, rng);
-  Tensor b = Tensor::randn({48, 40}, rng);
-  Tensor serial;
-  {
-    GemmThreadsGuard guard(1);
-    serial = matmul(a, b);
-  }
-  Tensor parallel;
-  {
-    GemmThreadsGuard guard(2);
-    parallel = matmul(a, b);
-  }
-  EXPECT_EQ(gemm_threads(), 1);  // guards restored the default
-  EXPECT_LT(max_abs_diff(serial, parallel), 1e-5);
-}
-
-TEST(OpsTest, GemmThreadsGuardRestoresOnException) {
-  const int before = gemm_threads();
-  try {
-    GemmThreadsGuard guard(4);
-    throw std::runtime_error("boom");
-  } catch (const std::runtime_error&) {
-  }
-  EXPECT_EQ(gemm_threads(), before);
-}
-
 TEST(OpsTest, GemmNullOutputFailsLoudly) {
   Tensor a = Tensor::ones({2, 3});
   Tensor b = Tensor::ones({3, 2});
@@ -376,13 +348,6 @@ TEST(TensorTest, ToStringShowsShapeAndTruncates) {
 TEST(TensorTest, ShapeStrFormatting) {
   EXPECT_EQ(shape_str({2, 3, 4}), "[2, 3, 4]");
   EXPECT_EQ(shape_str({}), "[]");
-}
-
-TEST(OpsTest, GemmThreadSettingValidated) {
-  EXPECT_THROW(set_gemm_threads(0), Error);
-  set_gemm_threads(2);
-  EXPECT_EQ(gemm_threads(), 2);
-  set_gemm_threads(1);
 }
 
 TEST(TensorTest, UndefinedTensorOperationsThrow) {

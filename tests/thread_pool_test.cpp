@@ -1,18 +1,11 @@
-// Unit tests for the shared ThreadPool and a stress test pinning the GEMM
-// bit-identical guarantee: every (SIMD level, thread-count, transpose)
-// combination must produce exactly the same bytes, because each C element
-// accumulates its k contributions in the same order everywhere.
+// Unit tests for the shared ThreadPool: work sharing, inline fallback,
+// exception propagation and nested use.
 
 #include <atomic>
-#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "tensor/gemm.h"
-#include "tensor/random.h"
-#include "tensor/simd.h"
-#include "tensor/tensor.h"
 #include "util/common.h"
 #include "util/thread_pool.h"
 
@@ -112,72 +105,6 @@ TEST(ThreadPoolTest, GlobalParallelForWorks) {
   });
   EXPECT_EQ(sum.load(), 499500);
   EXPECT_GE(ThreadPool::instance().workers(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// GEMM stress: serial vs pooled, scalar vs AVX2 must be bit-identical.
-
-struct GemmCase {
-  bool trans_a;
-  bool trans_b;
-  const char* name;
-};
-
-Tensor run_gemm(const GemmCase& tc, int64_t m, int64_t n, int64_t k,
-                const Tensor& a, const Tensor& b) {
-  Tensor c = Tensor::zeros({m, n});
-  gemm(tc.trans_a, tc.trans_b, m, n, k, 1.0F, a.data(), b.data(), 0.0F,
-       c.data());
-  return c;
-}
-
-bool bit_identical(const Tensor& x, const Tensor& y) {
-  return x.numel() == y.numel() &&
-         std::memcmp(x.data(), y.data(),
-                     static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
-}
-
-TEST(GemmStressTest, SerialPooledAndSimdLevelsAreBitIdentical) {
-  const GemmCase cases[] = {{false, false, "nn"},
-                            {false, true, "nt"},
-                            {true, false, "tn"}};
-  // Odd shapes straddling the parallel threshold and the AVX2 panel, lane
-  // and 4-row tails; the last two are large enough for row fan-out.
-  const int64_t shapes[][3] = {
-      {1, 1, 1}, {3, 5, 7}, {17, 9, 33}, {33, 129, 65}, {65, 31, 129},
-      {129, 67, 65}};
-  Rng rng(42);
-  for (const auto& tc : cases) {
-    for (const auto& s : shapes) {
-      const int64_t m = s[0], n = s[1], k = s[2];
-      // Bernoulli-masked A exercises the spike-sparsity zero-row skip.
-      Tensor a = tc.trans_a ? Tensor::bernoulli({k, m}, rng, 0.4F)
-                            : Tensor::bernoulli({m, k}, rng, 0.4F);
-      Tensor b = tc.trans_b ? Tensor::randn({n, k}, rng)
-                            : Tensor::randn({k, n}, rng);
-
-      Tensor ref;
-      {
-        GemmThreadsGuard threads(1);
-        simd::LevelGuard level(simd::Level::kScalar);
-        ref = run_gemm(tc, m, n, k, a, b);
-      }
-      for (int threads : {1, 2, 4}) {
-        // kAvx2 clamps to the scalar tier on hosts without AVX2.
-        for (simd::Level lvl : {simd::Level::kScalar, simd::Level::kAvx2}) {
-          GemmThreadsGuard tguard(threads);
-          simd::LevelGuard lguard(lvl);
-          Tensor out = run_gemm(tc, m, n, k, a, b);
-          EXPECT_TRUE(bit_identical(ref, out))
-              << tc.name << " m=" << m << " n=" << n << " k=" << k
-              << " threads=" << threads
-              << " level=" << simd::level_name(simd::active_level());
-        }
-      }
-    }
-  }
-  EXPECT_EQ(gemm_threads(), 1);
-  EXPECT_EQ(simd::active_level(), simd::detected_level());
 }
 
 }  // namespace

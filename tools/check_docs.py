@@ -17,7 +17,7 @@ Four passes over the repo:
    docs/**/*.md (fenced blocks excluded), every camel-case name with an
    inner capital (`SpikePlane`, `TTConv2d`, `kAffineLif`), every
    `::`-qualified name (`simd::LevelGuard`, checked by its last part; `std::`
-   names skipped) and every `snake_case(` call (`set_gemm_threads(n)`) must
+   names skipped) and every `snake_case(` call (`conv_forward(x)`) must
    occur as a whole word in some file under src/, so the docs cannot keep
    naming an API that was removed.
 
