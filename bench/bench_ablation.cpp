@@ -1,4 +1,4 @@
-// Design-choice ablations beyond the paper's tables (DESIGN.md §2):
+// Design-choice ablations beyond the paper's tables:
 //   A. TT-rank sweep — accuracy vs parameter count trade-off.
 //   B. Surrogate gradient family — rectangle (paper) vs triangle/atan/sigmoid.
 //   C. detach_reset — detaching the LIF reset from the gradient path.

@@ -14,7 +14,9 @@
 //   dense_conv_forward, ttconv_forward/<mode>, ttconv_train_step/<mode>
 //               — a dense 3x3 Conv2d forward, then TTConv2d forward and
 //                 forward+backward per mode, all through the shared conv
-//                 lowering (tensor/im2col.h).
+//                 lowering (tensor/im2col.h). The TT rows report arena
+//                 acquisitions per call, and the run HARD-fails if HTT's
+//                 exceed PTT's.
 //   infer_run/* — batch-1 Engine::run on the statically planned workspace,
 //                 fresh per call and caller-reused; each row reports arena
 //                 acquisitions per call alongside p50, and the run HARD-fails
@@ -37,6 +39,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -177,6 +180,17 @@ void bench_elemwise(bench::Report& report, const char* name, int64_t n,
   }
 }
 
+/// Arena acquisitions (hits + misses) per call of fn, counted over 32 calls
+/// after one warm-up call (plan cache, arena population, workspace growth).
+double arena_allocs_per_call(const std::function<void()>& fn) {
+  fn();
+  constexpr int kCalls = 32;
+  Arena::instance().reset_stats();
+  for (int i = 0; i < kCalls; ++i) fn();
+  const ArenaStats calls = Arena::instance().stats();
+  return static_cast<double>(calls.hits + calls.misses) / kCalls;
+}
+
 constexpr int64_t kC = 32;
 constexpr int64_t kHW = 16;
 constexpr int64_t kRank = 8;
@@ -195,29 +209,41 @@ void bench_ttconv(bench::Report& report, bool quick) {
     report.add("dense_conv_forward").timing(t);
     std::printf("  %-44s p50 %7.3f ms\n", "dense_conv_forward", t.p50_s * 1e3);
   }
+  // Each row also counts the arena buffers one call takes. HTT runs PTT's
+  // full path on some steps and less on the rest, so it must take no more
+  // buffers than PTT does; a gathered copy of its steps fails the run.
   const TTMode modes[] = {TTMode::kSTT, TTMode::kPTT, TTMode::kHTT};
+  double ptt_allocs[2] = {0.0, 0.0};  // forward, train step
+  auto record = [&](const char* family, int kind, TTMode mode,
+                    const std::function<void()>& fn) {
+    const double allocs = arena_allocs_per_call(fn);
+    const bench::Timing t = bench::time_fn(fn, 0.1);
+    const std::string name = std::string(family) + tt_mode_name(mode);
+    report.add(name)
+        .str("mode", tt_mode_name(mode))
+        .num("allocs_per_call", allocs)
+        .timing(t);
+    std::printf("  %-44s p50 %7.3f ms  %5.1f allocs/call\n", name.c_str(),
+                t.p50_s * 1e3, allocs);
+    if (mode == TTMode::kPTT) ptt_allocs[kind] = allocs;
+    TTSNN_CHECK(mode != TTMode::kHTT || allocs <= ptt_allocs[kind],
+                name << " takes " << allocs << " arena buffers per call, "
+                     << "more than PTT's " << ptt_allocs[kind]);
+  };
   for (TTMode mode : modes) {
     Rng rng(3);
     TTConv2d conv({.in_channels = kC, .out_channels = kC, .kernel = 3,
                    .stride = 1, .rank = kRank, .mode = mode,
                    .full_step = std::vector<bool>{true, true, false, false}},
                   rng);
-    const bench::Timing fwd = bench::time_fn([&] { conv.forward(x); }, 0.1);
-    std::string name = std::string("ttconv_forward/") + tt_mode_name(mode);
-    report.add(name).str("mode", tt_mode_name(mode)).timing(fwd);
-    std::printf("  %-44s p50 %7.3f ms\n", name.c_str(), fwd.p50_s * 1e3);
+    record("ttconv_forward/", 0, mode, [&] { conv.forward(x); });
     if (quick) continue;
     Rng grng(4);
     Tensor g = Tensor::randn({4, 2, kC, kHW, kHW}, grng);
-    const bench::Timing step = bench::time_fn(
-        [&] {
-          conv.forward(x);
-          conv.backward(g);
-        },
-        0.1);
-    name = std::string("ttconv_train_step/") + tt_mode_name(mode);
-    report.add(name).str("mode", tt_mode_name(mode)).timing(step);
-    std::printf("  %-44s p50 %7.3f ms\n", name.c_str(), step.p50_s * 1e3);
+    record("ttconv_train_step/", 1, mode, [&] {
+      conv.forward(x);
+      conv.backward(g);
+    });
   }
 }
 
@@ -261,13 +287,7 @@ void bench_planned_run(bench::Report& report) {
       {"planned_reuse", [&] { return planned.run(x, ws); }, 1},
   };
   for (const auto& v : variants) {
-    v.run();  // warm-up: plan cache, arena population, ws growth
-    constexpr int kCalls = 32;
-    Arena::instance().reset_stats();
-    for (int i = 0; i < kCalls; ++i) v.run();
-    const ArenaStats calls = Arena::instance().stats();
-    const double allocs_per_call =
-        static_cast<double>(calls.hits + calls.misses) / kCalls;
+    const double allocs_per_call = arena_allocs_per_call([&] { v.run(); });
     const bench::Timing t = bench::time_fn([&] { v.run(); }, 0.1);
     const std::string name = std::string("infer_run/") + v.tag;
     report.add(name)
@@ -322,13 +342,8 @@ void bench_fused_run(bench::Report& report) {
       {"off", &unfused, &ws_off, 0},
   };
   for (const auto& v : variants) {
-    v.engine->run(x, *v.ws);  // warm-up: plan cache + workspace growth
-    constexpr int kCalls = 32;
-    Arena::instance().reset_stats();
-    for (int i = 0; i < kCalls; ++i) v.engine->run(x, *v.ws);
-    const ArenaStats calls = Arena::instance().stats();
     const double allocs_per_call =
-        static_cast<double>(calls.hits + calls.misses) / kCalls;
+        arena_allocs_per_call([&] { v.engine->run(x, *v.ws); });
     const bench::Timing t =
         bench::time_fn([&] { v.engine->run(x, *v.ws); }, 0.1);
     const std::string name = std::string("infer_fused/") + v.tag;

@@ -2,7 +2,7 @@
 // baseline, STT, PTT, HTT on CIFAR10 (ResNet18, T=4), CIFAR100 (ResNet18,
 // T=4) and N-Caltech101 (ResNet34, T=6).
 //
-// Two complementary parts (DESIGN.md §2):
+// Two complementary parts:
 //  - PART 1 is exact arithmetic at PAPER SCALE: full ResNet18/34 shapes with
 //    the published VBMF rank lists — reproduces the params/FLOPs columns.
 //  - PART 2 trains width-scaled models on the synthetic dataset stand-ins —
@@ -103,6 +103,7 @@ int main() {
   measured_cifar("cifar10*", 1000, 5);
   measured_cifar("cifar100*", 2000, 10);
   measured_ncaltech();
-  std::printf("\n(*) scaled substitution datasets — see DESIGN.md §3.\n");
+  std::printf("\n(*) scaled substitution datasets — synthetic stand-ins, "
+              "src/data/.\n");
   return 0;
 }

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file synthetic_event.h
-/// N-Caltech101 stand-in (DESIGN.md §3): event-camera clips generated by
+/// N-Caltech101 stand-in: event-camera clips generated by
 /// moving a class-specific shape along a saccade-like trajectory. Every
 /// timestep yields a DISTINCT 2-channel frame (ON / OFF polarities computed
 /// from the intensity change between consecutive shape positions) — the

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file synthetic_gesture.h
-/// DVS128-Gesture stand-in (DESIGN.md §3): event clips whose CLASS IS THE
+/// DVS128-Gesture stand-in: event clips whose CLASS IS THE
 /// MOTION. A fixed disk moves with a class-specific velocity direction (or
 /// rotates around the center for the last two classes); single frames are
 /// nearly indistinguishable across classes, so classification requires

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file synthetic_image.h
-/// CIFAR10/100 stand-in (DESIGN.md §3): class-conditional static images.
+/// CIFAR10/100 stand-in: class-conditional static images.
 /// Each class is a distinct combination of an oriented grating, a
 /// perpendicular secondary grating, and a Gaussian blob at a class-specific
 /// position; samples add spatial jitter and pixel noise. Class information is

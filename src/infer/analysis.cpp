@@ -177,14 +177,14 @@ void check_op_fields(const Op& op, size_t i) {
       }
       break;
     case Op::Kind::kTTExact:
-      check_weight4(op.w1, op.tt_w1_opts, op, i, "TT core w1");
-      check_weight4(op.w2, op.tt_w2_opts, op, i, "TT core w2");
-      check_weight4(op.w3, op.tt_w3_opts, op, i, "TT core w3");
-      check_weight4(op.w4, op.tt_w4_opts, op, i, "TT core w4");
-      if (op.tt.mode == TTMode::kHTT) {
-        check_weight4(op.w4, op.tt_w4_half_opts, op, i,
-                      "TT half-step core w4");
-      }
+      check_weight4(op.w1, tt_core_options(op.tt, TTCore::kW1), op, i,
+                    "TT core w1");
+      check_weight4(op.w2, tt_core_options(op.tt, TTCore::kW2), op, i,
+                    "TT core w2");
+      check_weight4(op.w3, tt_core_options(op.tt, TTCore::kW3), op, i,
+                    "TT core w3");
+      check_weight4(op.w4, tt_core_options(op.tt, TTCore::kW4), op, i,
+                    "TT core w4");
       break;
     case Op::Kind::kAffine:
     case Op::Kind::kAffineLif:
@@ -266,9 +266,9 @@ void check_schedule(const Op& op, size_t index, int64_t t_steps) {
 /// for kAdd) are refined in place by unification. scratch/col are only
 /// accumulated for extents that are concrete — the symbolic compile-time
 /// pass gets shapes and diagnostics, the concrete planning pass additionally
-/// gets exact byte counts. The scratch enumeration must follow the planned
-/// executor's temp allocations (engine.cpp) order-for-order; the executor
-/// asserts it never overruns the budget computed here.
+/// gets exact byte counts. The scratch sum must cover every buffer the
+/// planned executor (engine.cpp) takes for the op; the executor asserts it
+/// never overruns the budget computed here.
 struct OpFootprint {
   Shape out;
   int64_t scratch = 0;  ///< aligned sum of the op's internal temporaries
@@ -277,10 +277,6 @@ struct OpFootprint {
 
 OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
   OpFootprint f;
-  auto add_temp = [&f](const Shape& s) {
-    const int64_t n = sym_numel(s);
-    if (known(n)) f.scratch += align_up(n);
-  };
   // The column matrix conv_forward (tensor/im2col.h) lowers each image
   // into; one plan-wide block sized by the largest. Pointwise geometries
   // read the input in place and need none.
@@ -346,64 +342,21 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     }
 
     case Op::Kind::kTTExact: {
-      Shape o1 = conv_out_shape(in, op.tt_w1_opts, op, index, "TT core w1");
-      see_col(in, op.tt_w1_opts);
-      switch (op.tt.mode) {
-        case TTMode::kSTT: {
-          Shape z2 = conv_out_shape(o1, op.tt_w2_opts, op, index, "TT core w2");
-          see_col(o1, op.tt_w2_opts);
-          Shape z3 = conv_out_shape(z2, op.tt_w3_opts, op, index, "TT core w3");
-          see_col(z2, op.tt_w3_opts);
-          f.out = conv_out_shape(z3, op.tt_w4_opts, op, index, "TT core w4");
-          see_col(z3, op.tt_w4_opts);
-          add_temp(o1);
-          add_temp(z2);
-          add_temp(z3);
-          break;
-        }
-        case TTMode::kPTT: {
-          Shape a = conv_out_shape(o1, op.tt_w2_opts, op, index, "TT core w2");
-          see_col(o1, op.tt_w2_opts);
-          Shape b = conv_out_shape(o1, op.tt_w3_opts, op, index, "TT core w3");
-          see_col(o1, op.tt_w3_opts);
-          unify_shape(a, b, op, index, "PTT branch outputs");
-          f.out = conv_out_shape(a, op.tt_w4_opts, op, index, "TT core w4");
-          see_col(a, op.tt_w4_opts);
-          add_temp(o1);
-          add_temp(a);
-          add_temp(b);
-          break;
-        }
-        case TTMode::kHTT: {
-          TTSNN_CHECK(in.size() == 5,
-                      "infer verify: " << op_where(op, index)
-                                       << ": HTT expects [T, N, C, H, W], got "
-                                       << shape_str(in));
-          check_schedule(op, index, o1[0]);
-          // Full steps run the PTT path through one-step w2/w3 buffers the
-          // executor reuses; every step's w4 writes its slice of the output.
-          Shape step = o1;
-          step[0] = 1;
-          Shape a =
-              conv_out_shape(step, op.tt_w2_opts, op, index, "TT core w2");
-          see_col(step, op.tt_w2_opts);
-          Shape b =
-              conv_out_shape(step, op.tt_w3_opts, op, index, "TT core w3");
-          see_col(step, op.tt_w3_opts);
-          unify_shape(a, b, op, index, "PTT branch outputs");
-          Shape y_full =
-              conv_out_shape(a, op.tt_w4_opts, op, index, "TT core w4");
-          see_col(a, op.tt_w4_opts);
-          f.out = conv_out_shape(o1, op.tt_w4_half_opts, op, index,
-                                 "TT half-step core w4");
-          see_col(o1, op.tt_w4_half_opts);
-          y_full[0] = f.out[0];
-          unify_shape(f.out, y_full, op, index, "HTT branch outputs");
-          add_temp(o1);
-          add_temp(a);
-          add_temp(b);
-          break;
-        }
+      // The layer's output has its dense conv's shape; its scratch is the
+      // pipeline's stages, sized by the plan_tt run_tt_exact takes them by.
+      if (op.tt.mode == TTMode::kHTT) {
+        TTSNN_CHECK(in.size() == 5,
+                    "infer verify: " << op_where(op, index)
+                                     << ": HTT expects [T, N, C, H, W], got "
+                                     << shape_str(in));
+        check_schedule(op, index, in[0]);
+      }
+      f.out = conv_out_shape(in, tt_dense_options(op.tt), op, index,
+                             "TT layer");
+      if (known(sym_numel(in))) {
+        const TTPlan p = plan_tt(op.tt, in, /*step_strips=*/true);
+        f.scratch = align_up(p.o1) + align_up(p.o2) + align_up(p.o3);
+        f.col = p.col;
       }
       break;
     }

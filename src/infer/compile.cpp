@@ -66,11 +66,7 @@ int lower_ttconv(const TTConv2d& tt, int in_reg, Builder& b) {
     op.kind = Op::Kind::kConv;
     op.in = in_reg;
     op.out = b.fresh_reg();
-    op.conv = Conv2d::Options{.in_channels = o.in_channels,
-                              .out_channels = o.out_channels,
-                              .kernel_h = o.kernel,
-                              .kernel_w = o.kernel,
-                              .stride = o.stride};
+    op.conv = tt_dense_options(o);
     op.weight = tt.merged_kernel();
     if (o.mode == TTMode::kHTT && !o.full_step.empty()) {
       op.tt = o;
@@ -85,8 +81,8 @@ int lower_ttconv(const TTConv2d& tt, int in_reg, Builder& b) {
     return b.emit(std::move(op));
   }
 
-  // Exact mode: the four sub-convolutions with the training pipeline's
-  // geometry, for bit-identity with eval-mode Module::forward.
+  // Exact mode: the four cores, run by the pipeline training runs
+  // (tt_forward), for bit-identity with eval-mode Module::forward.
   Op op;
   op.kind = Op::Kind::kTTExact;
   op.in = in_reg;
@@ -96,12 +92,6 @@ int lower_ttconv(const TTConv2d& tt, int in_reg, Builder& b) {
   op.w2 = tt.w2().value.clone();
   op.w3 = tt.w3().value.clone();
   op.w4 = tt.w4().value.clone();
-  const bool parallel_mode = o.mode != TTMode::kSTT;
-  op.tt_w1_opts = tt.opt_w1();
-  op.tt_w2_opts = tt.opt_w2(parallel_mode);
-  op.tt_w3_opts = tt.opt_w3(parallel_mode);
-  op.tt_w4_opts = tt.opt_w4(false);
-  op.tt_w4_half_opts = tt.opt_w4(true);
   {
     std::ostringstream oss;
     oss << tt_mode_name(o.mode) << " r" << o.rank << " " << o.in_channels

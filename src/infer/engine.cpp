@@ -7,7 +7,6 @@
 #include "infer/plan_cache.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
-#include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "util/failpoint.h"
 
@@ -17,11 +16,11 @@ namespace {
 
 /// Memory provider behind every op kernel, for ONE op of a compiled
 /// program: the output is a pre-computed destination (workspace view,
-/// in-place alias of the input, or the owning result tensor), temps/raw bump
-/// through the plan's scratch region, col is the plan's fixed column block.
-/// The bump cursor is checked against the scratch budget op_footprint()
-/// (analysis.cpp) computed — any drift between the analysis enumeration and
-/// the kernels is a hard error, not a corruption.
+/// in-place alias of the input, or the owning result tensor), raw buffers
+/// bump through the plan's scratch region, col is the plan's fixed column
+/// block. The bump cursor is checked against the scratch budget
+/// op_footprint() (analysis.cpp) computed — any drift between the analysis
+/// and the kernels is a hard error, not a corruption.
 struct PlannedCtx {
   const MemoryPlan* plan = nullptr;
   Tensor* ws = nullptr;
@@ -37,20 +36,14 @@ struct PlannedCtx {
                     << shape_str(dest.shape()));
     return dest;
   }
-  /// An op-internal temporary (TT pipeline stages).
-  Tensor temp(const Shape& s) {
-    const int64_t n = shape_numel(s);
-    Tensor t = ws->view(plan->scratch_offset + cursor, s);
-    bump(n);
-    return t;
-  }
   /// The im2col column matrix, shared by every conv lowering in the plan.
   float* col(int64_t elems) const {
     TTSNN_CHECK(elems <= plan->col_floats,
                 "infer: planned col overrun at op " << op_index);
     return ws->data() + plan->col_offset;
   }
-  /// Raw float scratch (the LIF membrane plane, dequant buffers, u8 tiles).
+  /// Raw float scratch (the LIF membrane plane, dequant buffers, u8 tiles,
+  /// the exact TT pipeline's stages).
   float* raw(int64_t elems) {
     float* p = ws->data() + plan->scratch_offset + cursor;
     bump(elems);
@@ -107,19 +100,6 @@ void run_tile_epilogue(void* ctx, int64_t image, float* tile) {
     simd::lif_step_eval_bias(e.hw, tau, v_th, zero_reset, e.bias[c],
                              tile + c * e.hw, u + c * e.hw, tile + c * e.hw);
   }
-}
-
-/// Number of CHW images in x [..., C, H, W].
-int64_t images(const Tensor& x) {
-  return x.numel() / (x.size(-3) * x.size(-2) * x.size(-1));
-}
-
-/// One timestep's slice of v [T, N, ...] as a [1, N, ...] view: the N
-/// images of step t are contiguous.
-Tensor step(const Tensor& v, int64_t t) {
-  Shape s = v.shape();
-  s[0] = 1;
-  return v.view(t * shape_numel(s), s);
 }
 
 /// Output shape of the conv `opts` over x [..., C, H, W], checked.
@@ -229,8 +209,8 @@ Tensor run_conv(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   const ConvKernel full =
       resolve_kernel(op.weight, op.plane, op.conv, x, ctx, tile);
   if (schedule.empty()) {
-    conv_forward(full.g, images(x), x.data(), full.w, full.col, full.u8,
-                 out.data(), epilogue);
+    conv_forward(full.g, x.numel() / (x.size(-3) * x.size(-2) * x.size(-1)),
+                 x.data(), full.w, full.col, full.u8, out.data(), epilogue);
     return out;
   }
   const ConvKernel half =
@@ -247,70 +227,19 @@ Tensor run_conv(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   return out;
 }
 
-/// Unmerged TT pipeline — reproduces eval-mode TTConv2d::forward bit-for-bit
-/// (the PTT branches run sequentially here; the training path computes them
-/// into separate buffers before the same add, so the bits agree). HTT runs
-/// each timestep on views of the w1 output: full steps take the PTT path
-/// through one-step w2/w3 buffers reused across steps, and every step's w4
-/// writes straight into its slice of the output.
+/// Unmerged TT layer: TTConv2d::forward's pipeline, tt_forward, so exact
+/// plans match it by construction, over the scratch and column block that
+/// plan_tt sized for op_footprint; the strips run serially.
 Tensor run_tt_exact(const Op& op, const Tensor& x, PlannedCtx& ctx) {
-  const WeightPlane f32;  // exact-mode TT cores always stay f32
-  // One core: an f32 conv of `in` into `dst`, which the caller placed.
-  auto core = [&](const Tensor& in, const Tensor& w, const Conv2d::Options& o,
-                  Tensor dst) {
-    TTSNN_CHECK(dst.shape() == conv_shape(in, o),
-                "infer: planned shape drift at op " << ctx.op_index);
-    const ConvKernel k = resolve_kernel(w, f32, o, in, ctx, nullptr);
-    conv_forward(k.g, images(in), in.data(), k.w, k.col, nullptr, dst.data());
-  };
-  auto core_temp = [&](const Tensor& in, const Tensor& w,
-                       const Conv2d::Options& o) {
-    Tensor t = ctx.temp(conv_shape(in, o));
-    core(in, w, o, t);
-    return t;
-  };
-  // PTT path: w2 and w3 both read `in` into a and b; their sum feeds w4.
-  auto ptt_path = [&](const Tensor& in, Tensor& a, const Tensor& b,
-                      Tensor dst) {
-    core(in, op.w2, op.tt_w2_opts, a);
-    core(in, op.w3, op.tt_w3_opts, b);
-    a.add_(b);  // in place: a is this op's own scratch
-    core(a, op.w4, op.tt_w4_opts, std::move(dst));
-  };
-  const Tensor o1 = core_temp(x, op.w1, op.tt_w1_opts);
-  switch (op.tt.mode) {
-    case TTMode::kSTT: {
-      const Tensor z2 = core_temp(o1, op.w2, op.tt_w2_opts);
-      const Tensor z3 = core_temp(z2, op.w3, op.tt_w3_opts);
-      Tensor out = ctx.out(conv_shape(z3, op.tt_w4_opts));
-      core(z3, op.w4, op.tt_w4_opts, out);
-      return out;
-    }
-    case TTMode::kPTT: {
-      Tensor a = ctx.temp(conv_shape(o1, op.tt_w2_opts));
-      const Tensor b = ctx.temp(conv_shape(o1, op.tt_w3_opts));
-      Tensor out = ctx.out(conv_shape(a, op.tt_w4_opts));
-      ptt_path(o1, a, b, out);
-      return out;
-    }
-    case TTMode::kHTT: {
-      TTSNN_CHECK(o1.dim() == 5, "infer HTT expects [T, N, C, H, W]");
-      const std::vector<bool>& schedule = op.tt.full_step;
-      Tensor a = ctx.temp(conv_shape(step(o1, 0), op.tt_w2_opts));
-      const Tensor b = ctx.temp(conv_shape(step(o1, 0), op.tt_w3_opts));
-      Tensor out = ctx.out(conv_shape(o1, op.tt_w4_half_opts));
-      for (int64_t t = 0; t < o1.size(0); ++t) {
-        if (schedule.empty() || schedule[static_cast<size_t>(t)]) {
-          ptt_path(step(o1, t), a, b, step(out, t));
-        } else {
-          core(step(o1, t), op.w4, op.tt_w4_half_opts, step(out, t));
-        }
-      }
-      return out;
-    }
-  }
-  TTSNN_CHECK(false, "unreachable");
-  return {};
+  const TTPlan p = plan_tt(op.tt, x.shape(), /*step_strips=*/true);
+  Tensor out = ctx.out(p.out);
+  const TTBuffers b{.o1 = ctx.raw(p.o1), .o2 = ctx.raw(p.o2),
+                    .o3 = ctx.raw(p.o3), .col = {ctx.col(p.col)}};
+  tt_forward(op.tt, p,
+             {.w1 = op.w1.data(), .w2 = op.w2.data(), .w3 = op.w3.data(),
+              .w4 = op.w4.data()},
+             x.data(), b, /*parallel=*/false, out.data());
+  return out;
 }
 
 /// Inference BatchNorm — an affine per (timestep, channel) from the stored

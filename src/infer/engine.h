@@ -116,11 +116,10 @@ struct Op {
   Tensor half_kernel;         ///< merged pointwise kernel [O,I,1,1]
   Conv2d::Options half_conv;  ///< half-step geometry (1x1, stride s)
 
-  // kTTExact (merged HTT reads only tt.full_step)
-  TTConv2d::Options tt;         ///< mode, stride and HTT schedule
+  // kTTExact (merged HTT reads only tt.full_step): the layer's options,
+  // which give every core's geometry (tt_core_options, core/ttconv.h).
+  TTConv2d::Options tt;
   Tensor w1, w2, w3, w4;        ///< kTTExact: cloned cores
-  Conv2d::Options tt_w1_opts, tt_w2_opts, tt_w3_opts, tt_w4_opts;
-  Conv2d::Options tt_w4_half_opts;  ///< HTT half step: stride moved onto w4
 
   // kAffine
   BatchNorm::Mode bn_mode = BatchNorm::Mode::kPerStep;

@@ -109,7 +109,7 @@ class Module {
   virtual void describe(ShapeState& s, std::vector<LayerDesc>& out) const;
 
   /// Mutable access to child module slots, enabling tree rewrites such as the
-  /// factorize pass that swaps Conv2d layers for TTConv2d (DESIGN.md §4).
+  /// factorize pass that swaps Conv2d layers for TTConv2d (factorize.h).
   virtual std::vector<ModulePtr*> child_slots() { return {}; }
 
   /// Frees cached activations (called between optimizer steps).

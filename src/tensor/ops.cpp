@@ -126,32 +126,6 @@ std::vector<int64_t> argmax_rows(const Tensor& logits) {
   return out;
 }
 
-Tensor gather_steps(const Tensor& x, const std::vector<int64_t>& idx) {
-  if (idx.empty()) return {};
-  Shape s = x.shape();
-  s[0] = static_cast<int64_t>(idx.size());
-  Tensor out = Tensor::empty(s);
-  const int64_t row = x.numel() / x.size(0);
-  for (size_t j = 0; j < idx.size(); ++j) {
-    std::copy(x.data() + idx[j] * row, x.data() + (idx[j] + 1) * row,
-              out.data() + static_cast<int64_t>(j) * row);
-  }
-  return out;
-}
-
-void scatter_steps(Tensor& dst, const Tensor& src,
-                   const std::vector<int64_t>& idx) {
-  if (idx.empty()) return;
-  const int64_t row = dst.numel() / dst.size(0);
-  TTSNN_CHECK(src.numel() == static_cast<int64_t>(idx.size()) * row,
-              "scatter_steps size mismatch");
-  for (size_t j = 0; j < idx.size(); ++j) {
-    std::copy(src.data() + static_cast<int64_t>(j) * row,
-              src.data() + static_cast<int64_t>(j + 1) * row,
-              dst.data() + idx[j] * row);
-  }
-}
-
 double max_abs_diff(const Tensor& a, const Tensor& b) {
   TTSNN_CHECK(a.same_shape(b), "max_abs_diff shape mismatch");
   const float* pa = a.data();

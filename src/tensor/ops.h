@@ -46,14 +46,6 @@ Tensor softmax(const Tensor& logits);
 /// Per-row argmax of a [n, c] matrix -> length-n vector of class indices.
 std::vector<int64_t> argmax_rows(const Tensor& logits);
 
-// ---- timestep gather/scatter (the HTT schedule split) ----------------------
-/// Gathers dim-0 rows listed in idx into a new tensor; empty idx returns an
-/// undefined tensor.
-Tensor gather_steps(const Tensor& x, const std::vector<int64_t>& idx);
-/// Writes dim-0 rows of src into dst at the positions listed in idx.
-void scatter_steps(Tensor& dst, const Tensor& src,
-                   const std::vector<int64_t>& idx);
-
 /// Max absolute elementwise difference — test helper.
 double max_abs_diff(const Tensor& a, const Tensor& b);
 

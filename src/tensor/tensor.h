@@ -3,7 +3,7 @@
 /// \file tensor.h
 /// Dense, contiguous, row-major float32 tensor with shared storage.
 ///
-/// Design notes (see DESIGN.md §4):
+/// Design notes:
 ///  - Tensors are cheap value types: copying a Tensor shares the underlying
 ///    buffer (like a PyTorch view of the whole tensor); clone() deep-copies.
 ///  - All tensors are contiguous. reshape() shares storage; permute() copies.

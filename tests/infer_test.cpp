@@ -20,6 +20,7 @@
 #include "infer/engine.h"
 #include "nn/containers.h"
 #include "snn/serialize.h"
+#include "step_gather.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -141,17 +142,17 @@ TEST(InferTest, StridedHttLayerExactAndMerged) {
 }
 
 /// Test-side reference for one merged HTT conv op over x [T, N, C, H, W]:
-/// each class of steps gathered with gather_steps, convolved by
-/// conv_forward with the op's own operand (f32 tensor, bf16 plane
-/// dequantized, int8 plane) and scattered back — the algorithm the engine's
-/// per-step kernel pick replaced.
+/// each class of steps gathered (step_gather.h), convolved by conv_forward
+/// with the op's own operand (f32 tensor, bf16 plane dequantized, int8
+/// plane) and scattered back — the algorithm the engine's per-step kernel
+/// pick replaced.
 Tensor gathered_htt_conv(const infer::Op& op, const Tensor& x) {
-  std::vector<int64_t> full_idx;
-  std::vector<int64_t> half_idx;
-  for (int64_t t = 0; t < x.size(0); ++t) {
-    (op.tt.full_step[static_cast<size_t>(t)] ? full_idx : half_idx)
-        .push_back(t);
-  }
+  using testgen::gather_steps;
+  using testgen::scatter_steps;
+  const std::vector<int64_t> full_idx =
+      testgen::steps_where(op.tt.full_step, x.size(0), true);
+  const std::vector<int64_t> half_idx =
+      testgen::steps_where(op.tt.full_step, x.size(0), false);
   Tensor y;
   auto run_class = [&](const std::vector<int64_t>& idx, const Tensor& weight,
                        const WeightPlane& plane, const Conv2d::Options& o) {

@@ -1,18 +1,31 @@
 // Tests for TTConv2d, the paper's core contribution: shape behaviour across
 // STT/PTT/HTT, end-to-end gradient checks in every mode, thread-parallel
-// branch determinism, and the merge equivalences of Eq. (6) — factorized
-// training output must match the merged dense kernel EXACTLY (the property
-// that lets TT-SNN fall back to spike-driven inference after training).
+// branch determinism, HTT training pinned bitwise against the gathered
+// per-class algorithm the per-step pipeline replaced, and the merge
+// equivalences of Eq. (6) — factorized training output must match the
+// merged dense kernel EXACTLY (the property that lets TT-SNN fall back to
+// spike-driven inference after training).
+
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/ttconv.h"
 #include "gradcheck.h"
 #include "nn/conv2d.h"
+#include "step_gather.h"
 #include "tensor/ops.h"
 
 namespace ttsnn {
 namespace {
+
+/// Every core's accumulated gradient agrees bitwise between a and b.
+void expect_core_grads_equal(TTConv2d& a, TTConv2d& b) {
+  EXPECT_EQ(max_abs_diff(a.w1().grad, b.w1().grad), 0.0);
+  EXPECT_EQ(max_abs_diff(a.w2().grad, b.w2().grad), 0.0);
+  EXPECT_EQ(max_abs_diff(a.w3().grad, b.w3().grad), 0.0);
+  EXPECT_EQ(max_abs_diff(a.w4().grad, b.w4().grad), 0.0);
+}
 
 TEST(TTConvTest, OutputShapesAllModes) {
   Rng rng(1);
@@ -99,10 +112,120 @@ TEST(TTConvTest, ParallelBranchesMatchSerial) {
     Tensor gs = serial.backward(g);
     Tensor gp = parallel.backward(g);
     EXPECT_EQ(max_abs_diff(gs, gp), 0.0);
-    EXPECT_EQ(max_abs_diff(serial.w1().grad, parallel.w1().grad), 0.0);
-    EXPECT_EQ(max_abs_diff(serial.w2().grad, parallel.w2().grad), 0.0);
-    EXPECT_EQ(max_abs_diff(serial.w3().grad, parallel.w3().grad), 0.0);
-    EXPECT_EQ(max_abs_diff(serial.w4().grad, parallel.w4().grad), 0.0);
+    expect_core_grads_equal(serial, parallel);
+  }
+}
+
+/// Output, input grad and core grads of one training step of an HTT layer,
+/// replayed test-side with the algorithm TTConv2d ran before its per-step
+/// pipeline: w1 over every step; the full steps gathered into one tensor
+/// that runs the PTT path (w2 and w3 strips, their sum, w4) and the half
+/// steps into another that runs w4 with the layer stride; the outputs
+/// scattered back. The backward mirrors it through conv2d_backward, so w4's
+/// dW adds every full step's images before any half step's. The core
+/// geometries are spelled out here rather than taken from the library.
+struct GatheredHttStep {
+  Tensor y, dx, dw1, dw2, dw3, dw4;
+};
+
+GatheredHttStep gathered_htt_step(const TTConv2d::Options& o,
+                                  const TTCores& c, const Tensor& x,
+                                  const Tensor& g) {
+  using testgen::gather_steps;
+  using testgen::scatter_steps;
+  const int64_t r = c.rank, k = o.kernel, s = o.stride;
+  const Conv2d::Options w1o{.in_channels = o.in_channels, .out_channels = r,
+                            .kernel_h = 1, .kernel_w = 1};
+  const Conv2d::Options w2o{.in_channels = r, .out_channels = r,
+                            .kernel_h = k, .kernel_w = 1, .stride = s};
+  const Conv2d::Options w3o{.in_channels = r, .out_channels = r,
+                            .kernel_h = 1, .kernel_w = k, .stride = s};
+  const Conv2d::Options w4o{.in_channels = r, .out_channels = o.out_channels,
+                            .kernel_h = 1, .kernel_w = 1};
+  Conv2d::Options w4_half = w4o;
+  w4_half.stride = s;
+  const std::vector<int64_t> full_idx =
+      testgen::steps_where(o.full_step, x.size(0), true);
+  const std::vector<int64_t> half_idx =
+      testgen::steps_where(o.full_step, x.size(0), false);
+
+  GatheredHttStep out;
+  const Tensor o1 = conv2d_forward(x, c.w1, w1o);
+  const Tensor full_x = gather_steps(o1, full_idx);
+  const Tensor half_x = gather_steps(o1, half_idx);
+  Tensor sum;
+  Tensor y_full, y_half;
+  if (full_x.defined()) {
+    sum = conv2d_forward(full_x, c.w2, w2o);
+    sum.add_(conv2d_forward(full_x, c.w3, w3o));
+    y_full = conv2d_forward(sum, c.w4, w4o);
+  }
+  if (half_x.defined()) y_half = conv2d_forward(half_x, c.w4, w4_half);
+  Shape y_shape = (y_full.defined() ? y_full : y_half).shape();
+  y_shape[0] = x.size(0);
+  out.y = Tensor::empty(y_shape);
+  if (y_full.defined()) scatter_steps(out.y, y_full, full_idx);
+  if (y_half.defined()) scatter_steps(out.y, y_half, half_idx);
+
+  out.dw1 = Tensor(c.w1.shape());
+  out.dw2 = Tensor(c.w2.shape());
+  out.dw3 = Tensor(c.w3.shape());
+  out.dw4 = Tensor(c.w4.shape());
+  Tensor go(o1.shape());
+  if (full_x.defined()) {
+    const Tensor g_sum = conv2d_backward(sum, c.w4, w4o,
+                                         gather_steps(g, full_idx), out.dw4);
+    Tensor ga = conv2d_backward(full_x, c.w2, w2o, g_sum, out.dw2);
+    ga.add_(conv2d_backward(full_x, c.w3, w3o, g_sum, out.dw3));
+    scatter_steps(go, ga, full_idx);
+  }
+  if (half_x.defined()) {
+    scatter_steps(go,
+                  conv2d_backward(half_x, c.w4, w4_half,
+                                  gather_steps(g, half_idx), out.dw4),
+                  half_idx);
+  }
+  out.dx = conv2d_backward(x, c.w1, w1o, go, out.dw1);
+  return out;
+}
+
+TEST(TTConvTest, HttTrainingMatchesGatheredReferenceBitwise) {
+  // The per-step pipeline must reproduce the gathered algorithm bit for bit
+  // in the output, the input grad and all four core grads: on schedules that
+  // start full, alternate, and start half; at stride 1 and on the strided
+  // half path; with the strips serial and as pool tasks.
+  const std::vector<std::vector<bool>> schedules = {
+      {true, true, false, false},
+      {true, false, true, false},
+      {false, true, true, false}};
+  for (const std::vector<bool>& schedule : schedules) {
+    for (int64_t stride : {1, 2}) {
+      for (bool parallel : {false, true}) {
+        std::string tag = "schedule ";
+        for (bool full : schedule) tag += full ? "1" : "0";
+        SCOPED_TRACE(tag + " stride " + std::to_string(stride) +
+                     (parallel ? " parallel" : " serial"));
+        Rng rng(30 + stride);
+        TTConv2d conv({.in_channels = 6, .out_channels = 8, .kernel = 3,
+                       .stride = stride, .rank = 4, .mode = TTMode::kHTT,
+                       .full_step = schedule,
+                       .parallel_branches = parallel},
+                      rng);
+        const Tensor x = Tensor::bernoulli({4, 2, 6, 8, 8}, rng, 0.3F);
+        const Tensor y = conv.forward(x);
+        const Tensor g = Tensor::randn(y.shape(), rng);
+        const Tensor dx = conv.backward(g);
+
+        const GatheredHttStep want =
+            gathered_htt_step(conv.options(), conv.cores(), x, g);
+        EXPECT_EQ(max_abs_diff(y, want.y), 0.0);
+        EXPECT_EQ(max_abs_diff(dx, want.dx), 0.0);
+        EXPECT_EQ(max_abs_diff(conv.w1().grad, want.dw1), 0.0);
+        EXPECT_EQ(max_abs_diff(conv.w2().grad, want.dw2), 0.0);
+        EXPECT_EQ(max_abs_diff(conv.w3().grad, want.dw3), 0.0);
+        EXPECT_EQ(max_abs_diff(conv.w4().grad, want.dw4), 0.0);
+      }
+    }
   }
 }
 
@@ -123,17 +246,26 @@ TEST(TTConvTest, HttHalfStepsSkipStrips) {
 }
 
 TEST(TTConvTest, HttFullStepsMatchPtt) {
-  // With an all-full schedule HTT must equal PTT exactly.
-  Rng rng(6);
-  TTConv2d::Options po{.in_channels = 4, .out_channels = 5, .kernel = 3,
-                       .stride = 1, .rank = 3, .mode = TTMode::kPTT};
-  TTConv2d ptt(po, rng);
-  TTConv2d::Options ho = po;
-  ho.mode = TTMode::kHTT;
-  ho.full_step = {true, true, true};
-  TTConv2d htt(ho, ptt.cores());
-  Tensor x = Tensor::randn({3, 2, 4, 5, 5}, rng);
-  EXPECT_LT(max_abs_diff(ptt.forward(x), htt.forward(x)), 1e-6);
+  // With an all-full schedule HTT is PTT: the same output, input grad and
+  // core grads, bit for bit, at stride 1 and 2.
+  for (int64_t stride : {1, 2}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    Rng rng(6);
+    TTConv2d::Options po{.in_channels = 4, .out_channels = 5, .kernel = 3,
+                         .stride = stride, .rank = 3, .mode = TTMode::kPTT};
+    TTConv2d ptt(po, rng);
+    TTConv2d::Options ho = po;
+    ho.mode = TTMode::kHTT;
+    ho.full_step = {true, true, true};
+    TTConv2d htt(ho, ptt.cores());
+    Tensor x = Tensor::randn({3, 2, 4, 5, 5}, rng);
+    Tensor y = ptt.forward(x);
+    EXPECT_EQ(max_abs_diff(y, htt.forward(x)), 0.0);
+
+    Tensor g = Tensor::randn(y.shape(), rng);
+    EXPECT_EQ(max_abs_diff(ptt.backward(g), htt.backward(g)), 0.0);
+    expect_core_grads_equal(ptt, htt);
+  }
 }
 
 TEST(TTConvTest, HttScheduleMixesPaths) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs hygiene checker (runs in CI and as the `docs_check` ctest entry).
 
-Four passes over the repo:
+Five passes over the repo:
 
 1. Markdown link check: every relative link in README.md, ROADMAP.md,
    CHANGES.md and docs/**/*.md must resolve to an existing file or directory
@@ -20,6 +20,11 @@ Four passes over the repo:
    names skipped) and every `snake_case(` call (`conv_forward(x)`) must
    occur as a whole word in some file under src/, so the docs cannot keep
    naming an API that was removed.
+5. Markdown citation check: every `*.md` name cited in a source file under
+   src/ or bench/ (a comment, or text a bench prints) must exist: a path
+   (`docs/ARCHITECTURE.md`) relative to the repo root, a bare name
+   (`README.md`) as some markdown file's name, so code cannot keep pointing
+   readers at a document the repo does not have.
 
 Usage: check_docs.py [repo_root]   (exit 0 = clean, 1 = findings, printed
 one per line as `path: message`).
@@ -145,6 +150,34 @@ def check_code_names(root: Path):
     return problems, len(checked)
 
 
+MD_CITE_RE = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def check_md_citations(root: Path):
+    md_names = {
+        p.name
+        for p in root.glob("**/*.md")
+        if not any(d.startswith(("build", "."))
+                   for d in p.relative_to(root).parts[:-1])
+    }
+    problems = []
+    for top in ("src", "bench"):
+        for path in sorted((root / top).glob("**/*")):
+            if path.suffix not in (".h", ".cpp"):
+                continue
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, 1):
+                for cited in MD_CITE_RE.findall(line):
+                    found = ((root / cited).is_file() if "/" in cited
+                             else cited in md_names)
+                    if not found:
+                        problems.append(
+                            f"{path.relative_to(root)}:{lineno}: cites "
+                            f"{cited}, which is not in the repo"
+                        )
+    return problems
+
+
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     name_problems, n_names = check_code_names(root)
@@ -153,6 +186,7 @@ def main() -> int:
         + check_header_briefs(root)
         + check_snippet_includes(root)
         + name_problems
+        + check_md_citations(root)
     )
     for p in problems:
         print(p)
