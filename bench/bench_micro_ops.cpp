@@ -66,11 +66,11 @@ void dense_gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 const float* a, const float* b, float* c) {
   std::fill(c, c + m * n, 0.0F);
   if (trans_a) {
-    simd::gemm_tn_rows(0, m, n, k, m, 1.0F, a, b, c);
+    simd::gemm_tn_rows(m, n, k, 1.0F, a, b, c);
   } else if (trans_b) {
-    simd::gemm_nt_rows(0, m, n, k, 1.0F, a, b, c);
+    simd::gemm_nt_rows(m, n, k, 1.0F, a, b, c);
   } else {
-    simd::gemm_nn_rows(0, m, n, k, 1.0F, a, b, c);
+    simd::gemm_nn_rows(m, n, k, 1.0F, a, b, c);
   }
 }
 
@@ -83,9 +83,9 @@ void sparse_gemm(bool trans_b, int64_t m, int64_t n, int64_t k, const float* a,
               "sparse_gemm: B is not a binary matrix");
   std::fill(c, c + m * n, 0.0F);
   if (trans_b) {
-    spmm_nt_rows(0, m, n, k, 1.0F, a, plane, c);
+    spmm_nt_rows(m, n, k, 1.0F, a, plane, c);
   } else {
-    spmm_nn_rows(0, m, n, k, 1.0F, a, plane, c);
+    spmm_nn_rows(m, n, k, 1.0F, a, plane, c);
   }
 }
 
@@ -305,41 +305,53 @@ void bench_planned_run(bench::Report& report) {
   }
 }
 
-/// Elementwise fusion on vs off at the serving entry point: the same planned
-/// executor and reused workspace, the only variable being whether the LIF /
-/// residual epilogues run as fused single-pass plan ops (intermediates never
-/// leave registers/L1) or as separate kConv/kAffine/kAdd/kLif ops.
-void bench_fused_run(bench::Report& report) {
-  Rng rng(31);
-  ModulePtr net = make_serving_model(rng);
-  Tensor x = Tensor::bernoulli({4, 1, 3, 16, 16}, rng, 0.2F);
-
-  const infer::Engine fused = infer::compile(*net);
-  const infer::Engine unfused =
-      infer::compile(*net, {.fuse_elementwise = false});
-  int fused_ops = 0;
-  for (const infer::Op& op : fused.ops()) {
+int count_fused(const infer::Engine& engine) {
+  int fused = 0;
+  for (const infer::Op& op : engine.ops()) {
     switch (op.kind) {
       case infer::Op::Kind::kConvLif:
       case infer::Op::Kind::kAffineLif:
       case infer::Op::Kind::kAddLif:
       case infer::Op::Kind::kAffineAdd:
-        ++fused_ops;
+        ++fused;
         break;
       default:
         break;
     }
   }
-  Tensor ws_on;
-  Tensor ws_off;
+  return fused;
+}
+
+/// Elementwise fusion on vs off at the serving entry point: the same planned
+/// executor and reused workspace, the only variable being whether the LIF /
+/// residual chains run as fused plan ops (each running its parts' kernels
+/// one image at a time, the intermediate staying in the op's output) or as
+/// separate kConv/kAffine/kAdd/kLif ops. on/off is the merged lowering,
+/// whose fused ops are all conv+lif; exact_on/exact_off is the unmerged,
+/// unfolded lowering, whose fused ops are affine+lif, affine+add and add+lif.
+void bench_fused_run(bench::Report& report) {
+  Rng rng(31);
+  ModulePtr net = make_serving_model(rng);
+  Tensor x = Tensor::bernoulli({4, 1, 3, 16, 16}, rng, 0.2F);
+
+  const infer::Engine merged_on = infer::compile(*net);
+  const infer::Engine merged_off =
+      infer::compile(*net, {.fuse_elementwise = false});
+  const infer::Engine exact_on =
+      infer::compile(*net, {.merge_tt = false, .fold_batchnorm = false});
+  const infer::Engine exact_off = infer::compile(
+      *net,
+      {.merge_tt = false, .fold_batchnorm = false, .fuse_elementwise = false});
+  Tensor ws[4];
   const struct {
     const char* tag;
     const infer::Engine* engine;
     Tensor* ws;
-    int fused;
   } variants[] = {
-      {"on", &fused, &ws_on, fused_ops},
-      {"off", &unfused, &ws_off, 0},
+      {"on", &merged_on, &ws[0]},
+      {"off", &merged_off, &ws[1]},
+      {"exact_on", &exact_on, &ws[2]},
+      {"exact_off", &exact_off, &ws[3]},
   };
   for (const auto& v : variants) {
     const double allocs_per_call =
@@ -349,7 +361,7 @@ void bench_fused_run(bench::Report& report) {
     const std::string name = std::string("infer_fused/") + v.tag;
     report.add(name)
         .str("config", v.tag)
-        .num("fused_ops", static_cast<double>(v.fused))
+        .num("fused_ops", static_cast<double>(count_fused(*v.engine)))
         .num("num_ops", static_cast<double>(v.engine->num_ops()))
         .num("allocs_per_call", allocs_per_call)
         .timing(t);
@@ -652,21 +664,6 @@ int main(int argc, char** argv) {
     Tensor s = Tensor::zeros({n});
     bench_elemwise(report, "lif_step", n, [&] {
       simd::lif_step_eval(n, 0.5F, 1.0F, true, in.data(), u.data(), s.data());
-    });
-    // Fused inference epilogues: the same LIF step with its producer folded
-    // into one pass (what kAffineLif / kAddLif execute per plane). Compare
-    // ns_per_elem against lif_step + the producer's own row to see what the
-    // fusion pass saves per element.
-    Tensor u2 = Tensor::zeros({n});
-    bench_elemwise(report, "affine_lif_step", n, [&] {
-      simd::affine_lif_step(n, 0.1F, 1.1F, 0.9F, 0.02F, 0.5F, 1.0F, true,
-                            in.data(), u2.data(), s.data());
-    });
-    Tensor other = Tensor::randn({n}, rng);
-    Tensor u3 = Tensor::zeros({n});
-    bench_elemwise(report, "add_lif_step", n, [&] {
-      simd::add_lif_step(n, 0.5F, 1.0F, true, in.data(), other.data(),
-                         u3.data(), s.data());
     });
   }
 

@@ -328,7 +328,6 @@ void fuse_elementwise(std::vector<Op>& ops, int& num_regs, int& result_reg) {
       Op fused = std::move(ops[static_cast<size_t>(d)]);
       fused.kind = Op::Kind::kAffineAdd;
       fused.in2 = slot == 0 ? ops[i].in2 : ops[i].in;
-      fused.fused_swap = slot == 1;
       fused.out = ops[i].out;
       ops[i] = std::move(fused);
       dead[static_cast<size_t>(d)] = true;

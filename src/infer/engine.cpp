@@ -5,7 +5,8 @@
 
 #include "infer/analysis.h"
 #include "infer/plan_cache.h"
-#include "tensor/gemm.h"
+#include "nn/linear.h"
+#include "nn/pooling.h"
 #include "tensor/im2col.h"
 #include "tensor/simd.h"
 #include "util/failpoint.h"
@@ -58,13 +59,13 @@ struct PlannedCtx {
   }
 };
 
-/// run_conv's per-tile epilogue (ConvEpilogue, tensor/im2col.h). Without
-/// `lif` it adds bias[c] to every element of channel plane c — the `+=` of
-/// the unfused bias pass, so the bits match. With `lif` (kConvLif) it runs
-/// the LIF step in place on the tile while it is still cache-hot, the bias
-/// folded into the membrane input: image b = t*N + n steps sample n's
-/// membrane plane, and the lowering's ascending image order IS the
-/// recurrence order. lif_step_eval reads each element before writing the
+/// run_conv's per-tile epilogue (ConvEpilogue, tensor/im2col.h), run on each
+/// output tile while it is still cache-hot. A defined bias adds bias[c] to
+/// every element of channel plane c. A kConvLif then runs kLif's kernel,
+/// one lif_step_eval over the tile, in place: image b = t*N + n steps sample
+/// n's membrane plane, and the lowering's ascending image order IS the
+/// recurrence order. These are the unfused plan's kernels in its order, so
+/// the bits match, and lif_step_eval reads each element before writing the
 /// spike over it, so the pre-activation never reaches a second buffer.
 struct TileEpilogue {
   const float* bias = nullptr;  ///< [channels], or null
@@ -77,29 +78,18 @@ struct TileEpilogue {
 
 void run_tile_epilogue(void* ctx, int64_t image, float* tile) {
   const TileEpilogue& e = *static_cast<const TileEpilogue*>(ctx);
-  if (e.lif == nullptr) {
+  if (e.bias != nullptr) {
     for (int64_t c = 0; c < e.channels; ++c) {
       float* plane = tile + c * e.hw;
       const float bv = e.bias[c];
       for (int64_t i = 0; i < e.hw; ++i) plane[i] += bv;
     }
-    return;
   }
+  if (e.lif == nullptr) return;
   const int64_t tile_floats = e.channels * e.hw;
-  float* u = e.u_post + (image % e.n) * tile_floats;
-  const float tau = e.lif->tau;
-  const float v_th = e.lif->v_th;
-  const bool zero_reset = e.lif->reset == ResetMode::kZero;
-  if (e.bias == nullptr) {
-    simd::lif_step_eval(tile_floats, tau, v_th, zero_reset, tile, u, tile);
-    return;
-  }
-  // Per channel plane, so the scalar bias folds into the membrane input
-  // with the exact expression of the unfused bias pass.
-  for (int64_t c = 0; c < e.channels; ++c) {
-    simd::lif_step_eval_bias(e.hw, tau, v_th, zero_reset, e.bias[c],
-                             tile + c * e.hw, u + c * e.hw, tile + c * e.hw);
-  }
+  simd::lif_step_eval(tile_floats, e.lif->tau, e.lif->v_th,
+                      e.lif->reset == ResetMode::kZero, tile,
+                      e.u_post + (image % e.n) * tile_floats, tile);
 }
 
 /// Output shape of the conv `opts` over x [..., C, H, W], checked.
@@ -244,13 +234,16 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, PlannedCtx& ctx) {
 
 /// Inference BatchNorm — an affine per (timestep, channel) from the stored
 /// running stats — alone (kAffine), feeding one LIF step (kAffineLif), or
-/// feeding the residual join with x2 (kAffineAdd; op.fused_swap is the
-/// original operand order). One ch / t / b loop nest, so each (ch, b) plane
-/// sees t ascending — the membrane recurrence order. Each per-plane kernel
-/// matches its unfused counterpart expression-for-expression (simd::affine
-/// is BatchNorm's eval forward), so the bits agree, and reads every element
-/// of x before writing the same position, so the output may alias x (the
-/// in-place path) — never x2, whose storage group the analysis keeps apart.
+/// feeding the residual join with x2 (kAffineAdd). One image (the C x H x W
+/// of one (t, n)) at a time, t ascending, so each sample's membrane plane
+/// sees the recurrence order: simd::affine (BatchNorm's eval forward) fills
+/// the image's channel planes of the output, then a fused op runs the kernel
+/// of the op it replaces over that image in place — kLif's lif_step_eval,
+/// or run_add's axpy(1, x2), whose bits do not depend on which operand of
+/// the join the affine produced because IEEE-754 addition is commutative.
+/// So the bits are the unfused plan's. Every kernel reads an element of x
+/// before writing that position, so the output may alias x (the in-place
+/// path) — never x2, whose storage group the analysis keeps apart.
 Tensor run_affine(const Op& op, const Tensor& x, const Tensor& x2,
                   PlannedCtx& ctx) {
   const char* what = op_kind_name(op.kind);
@@ -265,6 +258,7 @@ Tensor run_affine(const Op& op, const Tensor& x, const Tensor& x2,
   const int64_t n = x.size(1);
   const int64_t c = x.size(2);
   const int64_t hw = x.size(3) * x.size(4);
+  const int64_t image = c * hw;
   TTSNN_CHECK(c == op.bn_gamma.numel(),
               "infer " << what << " channel mismatch: " << c);
   const bool tebn = op.bn_mode == BatchNorm::Mode::kTebn;
@@ -276,41 +270,30 @@ Tensor run_affine(const Op& op, const Tensor& x, const Tensor& x2,
   Tensor out = ctx.out(x.shape());
   float* u_post = nullptr;
   if (op.kind == Op::Kind::kAffineLif) {
-    u_post = ctx.raw(x.numel() / t_steps);
-    std::fill(u_post, u_post + x.numel() / t_steps, 0.0F);
+    u_post = ctx.raw(n * image);
+    std::fill(u_post, u_post + n * image, 0.0F);
   }
-  const float tau = op.lif.tau;
-  const float v_th = op.lif.v_th;
-  const bool zero_reset = op.lif.reset == ResetMode::kZero;
-  const float* in = x.data();
-  const float* other = op.kind == Op::Kind::kAffineAdd ? x2.data() : nullptr;
-  float* y = out.data();
   const float* g_gamma = op.bn_gamma.data();
   const float* g_beta = op.bn_beta.data();
   const float* g_mean = op.bn_mean.data();
   const float* g_inv_std = op.bn_inv_std.data();
-  for (int64_t ch = 0; ch < c; ++ch) {
-    const float inv_std = g_inv_std[ch];
-    const float mu = g_mean[ch];
-    for (int64_t t = 0; t < t_steps; ++t) {
-      const float step = tebn ? op.bn_step_scale[t] : 1.0F;
-      const float eff = g_gamma[ch] * op.bn_alpha_vth * step;
-      for (int64_t b = 0; b < n; ++b) {
-        const int64_t base = (((t * n + b) * c) + ch) * hw;
-        switch (op.kind) {
-          case Op::Kind::kAffineLif:
-            simd::affine_lif_step(hw, mu, inv_std, eff, g_beta[ch], tau, v_th,
-                                  zero_reset, in + base,
-                                  u_post + (b * c + ch) * hw, y + base);
-            break;
-          case Op::Kind::kAffineAdd:
-            simd::affine_add(hw, mu, inv_std, eff, g_beta[ch], op.fused_swap,
-                             in + base, other + base, y + base);
-            break;
-          default:
-            simd::affine(hw, mu, inv_std, eff, g_beta[ch], in + base, y + base);
-            break;
-        }
+  for (int64_t t = 0; t < t_steps; ++t) {
+    const float step = tebn ? op.bn_step_scale[t] : 1.0F;
+    for (int64_t b = 0; b < n; ++b) {
+      const int64_t base = (t * n + b) * image;
+      const float* in = x.data() + base;
+      float* y = out.data() + base;
+      for (int64_t ch = 0; ch < c; ++ch) {
+        const float eff = g_gamma[ch] * op.bn_alpha_vth * step;
+        simd::affine(hw, g_mean[ch], g_inv_std[ch], eff, g_beta[ch],
+                     in + ch * hw, y + ch * hw);
+      }
+      if (op.kind == Op::Kind::kAffineLif) {
+        simd::lif_step_eval(image, op.lif.tau, op.lif.v_th,
+                            op.lif.reset == ResetMode::kZero, y,
+                            u_post + b * image, y);
+      } else if (op.kind == Op::Kind::kAffineAdd) {
+        simd::axpy(image, 1.0F, x2.data() + base, y);
       }
     }
   }
@@ -329,7 +312,7 @@ Tensor run_lif(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   return out;
 }
 
-/// Non-overlapping average pool; mirrors AvgPool2d::forward.
+/// Non-overlapping average pool: AvgPool2d's kernel, avg_pool_forward_into.
 Tensor run_avg_pool(const Tensor& x, int64_t kernel, PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() >= 3, "infer pool expects [..., C, H, W]");
   const int64_t h = x.size(-2);
@@ -337,55 +320,30 @@ Tensor run_avg_pool(const Tensor& x, int64_t kernel, PlannedCtx& ctx) {
   TTSNN_CHECK(h % kernel == 0 && w % kernel == 0,
               "infer pool requires divisible spatial dims, got "
                   << h << "x" << w << " k=" << kernel);
-  const int64_t oh = h / kernel;
-  const int64_t ow = w / kernel;
-  const int64_t planes = x.numel() / (h * w);
   Shape out_shape = x.shape();
-  out_shape[out_shape.size() - 2] = oh;
-  out_shape[out_shape.size() - 1] = ow;
-  Tensor out = ctx.out(out_shape);  // every output element is written below
-  const float* in = x.data();
-  float* o = out.data();
-  const float inv = 1.0F / static_cast<float>(kernel * kernel);
-  for (int64_t p = 0; p < planes; ++p) {
-    const float* plane = in + p * h * w;
-    float* oplane = o + p * oh * ow;
-    for (int64_t y = 0; y < oh; ++y) {
-      for (int64_t xx = 0; xx < ow; ++xx) {
-        float s = 0.0F;
-        for (int64_t ky = 0; ky < kernel; ++ky) {
-          const float* row = plane + (y * kernel + ky) * w + xx * kernel;
-          for (int64_t kx = 0; kx < kernel; ++kx) s += row[kx];
-        }
-        oplane[y * ow + xx] = s * inv;
-      }
-    }
-  }
+  out_shape[out_shape.size() - 2] = h / kernel;
+  out_shape[out_shape.size() - 1] = w / kernel;
+  Tensor out = ctx.out(out_shape);
+  avg_pool_forward_into(x.numel() / (h * w), h, w, kernel, x.data(),
+                        out.data());
   return out;
 }
 
-/// Global average pool [T,N,C,H,W] -> [T,N,C]; mirrors GlobalAvgPool.
+/// Global average pool [T,N,C,H,W] -> [T,N,C]: GlobalAvgPool's kernel,
+/// global_avg_pool_forward_into.
 Tensor run_global_pool(const Tensor& x, PlannedCtx& ctx) {
   TTSNN_CHECK(x.dim() == 5, "infer global pool expects [T, N, C, H, W]");
   const int64_t hw = x.size(3) * x.size(4);
-  const int64_t rows = x.numel() / hw;
   Tensor out = ctx.out({x.size(0), x.size(1), x.size(2)});
-  const float* in = x.data();
-  float* o = out.data();
-  const float inv = 1.0F / static_cast<float>(hw);
-  for (int64_t r = 0; r < rows; ++r) {
-    double s = 0.0;
-    const float* row = in + r * hw;
-    for (int64_t i = 0; i < hw; ++i) s += row[i];
-    o[r] = static_cast<float>(s) * inv;
-  }
+  global_avg_pool_forward_into(x.numel() / hw, hw, x.data(), out.data());
   return out;
 }
 
-/// Dense head; mirrors Linear::forward (weight [out, in]). Quantized planes
-/// follow the run_conv pattern: bf16 dequantizes into scratch then runs the
-/// identical f32 gemm; int8 converts the spike rows to u8 and runs the
-/// integer GEMM in its linear (trans_b) orientation.
+/// Dense head (weight [out, in]): Linear's kernel, linear_forward_into.
+/// Quantized planes follow the run_conv pattern: bf16 dequantizes into
+/// scratch then runs the identical f32 kernel; int8 converts the spike rows
+/// to u8, runs the integer GEMM in its linear (trans_b) orientation and then
+/// Linear's bias pass, linear_add_bias.
 Tensor run_linear(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   const bool planed = op.plane.quantized();
   const int64_t out_f = planed ? op.plane.rows() : op.weight.size(0);
@@ -395,30 +353,25 @@ Tensor run_linear(const Op& op, const Tensor& x, PlannedCtx& ctx) {
   const int64_t b = x.numel() / in_f;
   Shape out_shape = x.shape();
   out_shape[out_shape.size() - 1] = out_f;
-  Tensor out = ctx.out(out_shape);  // gemm beta=0 writes every element
+  Tensor out = ctx.out(out_shape);  // both GEMMs write every element
+  const float* bias = op.bias.defined() ? op.bias.data() : nullptr;
   if (planed && op.plane.dtype() == WeightDtype::kInt8) {
     uint8_t* su8 = reinterpret_cast<uint8_t*>(ctx.raw((b * in_f + 3) / 4));
     simd::spikes_to_u8(b * in_f, x.data(), su8);
     simd::gemm_s8_sxw(b, out_f, in_f, su8, op.plane.int8_data(),
                       op.plane.scales().data(), out.data());
+    if (bias != nullptr) linear_add_bias(b, out_f, bias, out.data());
+    return out;
+  }
+  const float* wf;
+  if (planed) {  // bf16: dequant once, then the identical f32 kernel
+    float* wbuf = ctx.raw(op.plane.numel());
+    simd::dequant_bf16(op.plane.numel(), op.plane.bf16_data(), wbuf);
+    wf = wbuf;
   } else {
-    const float* wf;
-    if (planed) {  // bf16: dequant once, then the identical f32 gemm
-      float* wbuf = ctx.raw(op.plane.numel());
-      simd::dequant_bf16(op.plane.numel(), op.plane.bf16_data(), wbuf);
-      wf = wbuf;
-    } else {
-      wf = op.weight.data();
-    }
-    gemm(false, true, b, out_f, in_f, 1.0F, x.data(), wf, 0.0F, out.data());
+    wf = op.weight.data();
   }
-  if (op.bias.defined()) {
-    float* p = out.data();
-    const float* bb = op.bias.data();
-    for (int64_t i = 0; i < b; ++i) {
-      for (int64_t j = 0; j < out_f; ++j) p[i * out_f + j] += bb[j];
-    }
-  }
+  linear_forward_into(b, in_f, out_f, x.data(), wf, bias, out.data());
   return out;
 }
 
@@ -437,9 +390,12 @@ Tensor run_add(const Tensor& x, const Tensor& x2, PlannedCtx& ctx) {
   return out;
 }
 
-/// Fused residual join + LIF step: one pass per timestep, u = tau * u_post +
-/// (x + 1*x2). The output may alias x (never x2 — the analysis keeps in2's
-/// storage group separate from the in-place group).
+/// Fused residual join + LIF step: one image (the numel / (T*N) floats of
+/// one (t, n)) at a time, t ascending, run_add's copy + axpy(1, x2) and then
+/// kLif's lif_step_eval over the image in place — the unfused plan's kernels
+/// in its order, so the bits match. The output may alias x (the copy is
+/// then skipped), never x2 — the analysis keeps in2's storage group
+/// separate from the in-place group.
 Tensor run_add_lif(const Op& op, const Tensor& x, const Tensor& x2,
                    PlannedCtx& ctx) {
   TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
@@ -449,13 +405,20 @@ Tensor run_add_lif(const Op& op, const Tensor& x, const Tensor& x2,
               "infer add+lif expects [T, N, ...], got " << shape_str(x.shape()));
   Tensor out = ctx.out(x.shape());
   const int64_t t_steps = x.size(0);
+  const int64_t n = x.size(1);
   const int64_t m = x.numel() / t_steps;
+  const int64_t image = m / n;
   float* u_post = ctx.raw(m);
   std::fill(u_post, u_post + m, 0.0F);
-  for (int64_t t = 0; t < t_steps; ++t) {
-    simd::add_lif_step(m, op.lif.tau, op.lif.v_th,
-                       op.lif.reset == ResetMode::kZero, x.data() + t * m,
-                       x2.data() + t * m, u_post, out.data() + t * m);
+  const bool in_place = out.data() == x.data();
+  for (int64_t i = 0; i < t_steps * n; ++i) {
+    const float* a = x.data() + i * image;
+    float* y = out.data() + i * image;
+    if (!in_place) std::copy(a, a + image, y);
+    simd::axpy(image, 1.0F, x2.data() + i * image, y);
+    simd::lif_step_eval(image, op.lif.tau, op.lif.v_th,
+                        op.lif.reset == ResetMode::kZero, y,
+                        u_post + (i % n) * image, y);
   }
   return out;
 }

@@ -62,10 +62,12 @@ struct CompileOptions {
   /// with LRU eviction past the budget. 0 disables eviction entirely.
   int64_t plan_cache_bytes = 8LL << 20;
   /// Greedily fuse elementwise chains (conv/affine/add feeding a LIF step,
-  /// affine feeding a residual add) into single fused ops executed by
-  /// single-pass SIMD kernels, wherever the liveness analysis proves the
-  /// intermediate has exactly one consumer. Outputs are bit-identical with
-  /// fusion on or off; off keeps the one-op-per-module reference lowering.
+  /// affine feeding a residual add) into single fused ops, wherever the
+  /// liveness analysis proves the intermediate has exactly one consumer. A
+  /// fused op runs the kernels of the ops it replaces one image at a time,
+  /// so the intermediate never leaves the op's own output and the outputs
+  /// are bit-identical with fusion on or off; off keeps the
+  /// one-op-per-module reference lowering.
   bool fuse_elementwise = true;
   /// Storage dtype requested for conv/linear weight matrices (including the
   /// fused conv+LIF ops and merged HTT kernel pairs). kF32 — the default
@@ -94,11 +96,13 @@ struct Op {
     kLinear,      ///< dense classifier head
     kAdd,         ///< residual join: regs[out] = regs[in] + regs[in2]
     // Fused elementwise chains (compile.cpp's fusion pass; never lowered
-    // directly from modules). Each reuses the field groups of its parts.
-    kConvLif,     ///< conv whose LIF epilogue runs per output tile
+    // directly from modules). Each reuses the field groups of its parts and
+    // runs its parts' kernels, one image (C x H x W of one (t, n)) at a time.
+    kConvLif,     ///< conv whose LIF step runs on each output tile
     kAffineLif,   ///< inference-BN affine feeding a LIF step
     kAddLif,      ///< residual join feeding a LIF step
-    kAffineAdd,   ///< inference-BN affine feeding a residual join
+    kAffineAdd,   ///< inference-BN affine feeding a residual join (in2 is
+                  ///< the join's other operand, whichever slot it held)
   };
 
   Kind kind = Kind::kConv;
@@ -132,11 +136,6 @@ struct Op {
 
   // kAvgPool
   int64_t pool_kernel = 2;
-
-  // kAffineAdd
-  /// True when the fused affine produced the add's SECOND operand: the add's
-  /// axpy order (first + 1*second) is preserved so the bits match unfused.
-  bool fused_swap = false;
 
   // Typed weight planes (compile.cpp's quantization pass; weight_dtype !=
   // kF32 only). When `plane` is quantized it REPLACES the f32 `weight` it was

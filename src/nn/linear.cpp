@@ -20,17 +20,22 @@ Tensor Linear::forward(const Tensor& x) {
   Shape out_shape = x.shape();
   out_shape[out_shape.size() - 1] = out_;
   Tensor out(out_shape);
-  // out [b, out] = x [b, in] * W^T [in, out]
-  gemm(false, true, b, out_, in_, 1.0F, x.data(), weight_.value.data(), 0.0F,
-       out.data());
-  if (has_bias_) {
-    float* p = out.data();
-    const float* bb = bias_.value.data();
-    for (int64_t i = 0; i < b; ++i) {
-      for (int64_t j = 0; j < out_; ++j) p[i * out_ + j] += bb[j];
-    }
-  }
+  linear_forward_into(b, in_, out_, x.data(), weight_.value.data(),
+                      has_bias_ ? bias_.value.data() : nullptr, out.data());
   return out;
+}
+
+void linear_forward_into(int64_t b, int64_t in_f, int64_t out_f, const float* x,
+                         const float* w, const float* bias, float* out) {
+  // out [b, out_f] = x [b, in_f] * W^T [in_f, out_f]
+  gemm(false, true, b, out_f, in_f, 1.0F, x, w, 0.0F, out);
+  if (bias != nullptr) linear_add_bias(b, out_f, bias, out);
+}
+
+void linear_add_bias(int64_t b, int64_t out_f, const float* bias, float* out) {
+  for (int64_t i = 0; i < b; ++i) {
+    for (int64_t j = 0; j < out_f; ++j) out[i * out_f + j] += bias[j];
+  }
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {

@@ -36,4 +36,15 @@ class Linear : public Module {
   Tensor cached_input_;
 };
 
+/// Linear's forward over raw buffers, the kernel behind both the module and
+/// infer::Engine's linear op: out [b, out_f] = x [b, in_f] * w^T for w
+/// [out_f, in_f] (every element written), then linear_add_bias when `bias`
+/// is non-null.
+void linear_forward_into(int64_t b, int64_t in_f, int64_t out_f, const float* x,
+                         const float* w, const float* bias, float* out);
+
+/// The bias pass alone: out[i, j] += bias[j] over b rows of out_f — also run
+/// after the int8 serving GEMM, which replaces only the product.
+void linear_add_bias(int64_t b, int64_t out_f, const float* bias, float* out);
+
 }  // namespace ttsnn

@@ -22,24 +22,29 @@ Tensor AvgPool2d::forward(const Tensor& x) {
   out_shape[out_shape.size() - 2] = oh;
   out_shape[out_shape.size() - 1] = ow;
   Tensor out(out_shape);
-  const float* in = x.data();
-  float* o = out.data();
-  const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
+  avg_pool_forward_into(planes, h, w, kernel_, x.data(), out.data());
+  return out;
+}
+
+void avg_pool_forward_into(int64_t planes, int64_t h, int64_t w, int64_t kernel,
+                           const float* x, float* out) {
+  const int64_t oh = h / kernel;
+  const int64_t ow = w / kernel;
+  const float inv = 1.0F / static_cast<float>(kernel * kernel);
   for (int64_t p = 0; p < planes; ++p) {
-    const float* plane = in + p * h * w;
-    float* oplane = o + p * oh * ow;
+    const float* plane = x + p * h * w;
+    float* oplane = out + p * oh * ow;
     for (int64_t y = 0; y < oh; ++y) {
       for (int64_t xx = 0; xx < ow; ++xx) {
         float s = 0.0F;
-        for (int64_t ky = 0; ky < kernel_; ++ky) {
-          const float* row = plane + (y * kernel_ + ky) * w + xx * kernel_;
-          for (int64_t kx = 0; kx < kernel_; ++kx) s += row[kx];
+        for (int64_t ky = 0; ky < kernel; ++ky) {
+          const float* row = plane + (y * kernel + ky) * w + xx * kernel;
+          for (int64_t kx = 0; kx < kernel; ++kx) s += row[kx];
         }
         oplane[y * ow + xx] = s * inv;
       }
     }
   }
-  return out;
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
@@ -88,18 +93,20 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
   TTSNN_CHECK(x.dim() == 5, "GlobalAvgPool expects [T, N, C, H, W]");
   cached_in_shape_ = x.shape();
   const int64_t hw = x.size(3) * x.size(4);
-  const int64_t rows = x.numel() / hw;
   Tensor out({x.size(0), x.size(1), x.size(2)});
-  const float* in = x.data();
-  float* o = out.data();
+  global_avg_pool_forward_into(x.numel() / hw, hw, x.data(), out.data());
+  return out;
+}
+
+void global_avg_pool_forward_into(int64_t rows, int64_t hw, const float* x,
+                                  float* out) {
   const float inv = 1.0F / static_cast<float>(hw);
   for (int64_t r = 0; r < rows; ++r) {
     double s = 0.0;
-    const float* row = in + r * hw;
+    const float* row = x + r * hw;
     for (int64_t i = 0; i < hw; ++i) s += row[i];
-    o[r] = static_cast<float>(s) * inv;
+    out[r] = static_cast<float>(s) * inv;
   }
-  return out;
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {

@@ -37,4 +37,16 @@ class GlobalAvgPool : public Module {
   Shape cached_in_shape_;
 };
 
+/// AvgPool2d's forward over raw buffers, the kernel behind both the module
+/// and infer::Engine's pool op: each of `planes` [h, w] planes of x becomes
+/// one [h / kernel, w / kernel] plane of out (every element written). h and
+/// w must be multiples of kernel.
+void avg_pool_forward_into(int64_t planes, int64_t h, int64_t w, int64_t kernel,
+                           const float* x, float* out);
+
+/// GlobalAvgPool's forward over raw buffers, shared the same way: out[r] is
+/// the mean of x's row r of hw floats, summed in double.
+void global_avg_pool_forward_into(int64_t rows, int64_t hw, const float* x,
+                                  float* out);
+
 }  // namespace ttsnn

@@ -74,16 +74,16 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
   if (sparse) {
     if (trans_b) {
-      spmm_nt_rows(0, m, n, k, alpha, a, plane, c);
+      spmm_nt_rows(m, n, k, alpha, a, plane, c);
     } else {
-      spmm_nn_rows(0, m, n, k, alpha, a, plane, c);
+      spmm_nn_rows(m, n, k, alpha, a, plane, c);
     }
   } else if (trans_a) {
-    simd::gemm_tn_rows(0, m, n, k, m, alpha, a, b, c);
+    simd::gemm_tn_rows(m, n, k, alpha, a, b, c);
   } else if (trans_b) {
-    simd::gemm_nt_rows(0, m, n, k, alpha, a, b, c);
+    simd::gemm_nt_rows(m, n, k, alpha, a, b, c);
   } else {
-    simd::gemm_nn_rows(0, m, n, k, alpha, a, b, c);
+    simd::gemm_nn_rows(m, n, k, alpha, a, b, c);
   }
 }
 

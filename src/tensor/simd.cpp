@@ -183,65 +183,6 @@ void lif_step_train(int64_t m, float tau, float v_th, bool zero_reset,
   }
 }
 
-void lif_step_eval_bias(int64_t m, float tau, float v_th, bool zero_reset,
-                        float bias, const float* in, float* u_post,
-                        float* s_out) {
-  if (use_avx2()) {
-    return avx2::lif_step_eval_bias(m, tau, v_th, zero_reset, bias, in, u_post,
-                                    s_out);
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    const float v = in[i] + bias;
-    const float u = tau * u_post[i] + v;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void affine_lif_step(int64_t n, float mu, float inv_std, float eff, float beta,
-                     float tau, float v_th, bool zero_reset, const float* x,
-                     float* u_post, float* s_out) {
-  if (use_avx2()) {
-    return avx2::affine_lif_step(n, mu, inv_std, eff, beta, tau, v_th,
-                                 zero_reset, x, u_post, s_out);
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = (x[i] - mu) * inv_std;
-    const float a = eff * v + beta;
-    const float u = tau * u_post[i] + a;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
-                  const float* a, const float* b, float* u_post, float* s_out) {
-  if (use_avx2()) {
-    return avx2::add_lif_step(m, tau, v_th, zero_reset, a, b, u_post, s_out);
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    const float v = a[i] + 1.0F * b[i];
-    const float u = tau * u_post[i] + v;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
-                bool swap, const float* x, const float* other, float* y) {
-  if (use_avx2()) {
-    return avx2::affine_add(n, mu, inv_std, eff, beta, swap, x, other, y);
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = (x[i] - mu) * inv_std;
-    const float a = eff * v + beta;
-    y[i] = swap ? other[i] + 1.0F * a : a + 1.0F * other[i];
-  }
-}
-
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w) {
   if (use_avx2()) return avx2::sgd_step(n, lr, momentum, decay, g, v, w);
@@ -260,10 +201,10 @@ void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
 /// dense rows (conv weights, gradients) run branch-free, and only rows that
 /// contain zeros (spike rows) pay the per-element test. Contributions stay in
 /// ascending-k order either way.
-void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c) {
-  if (use_avx2()) return avx2::gemm_nn_rows(m0, m1, n, k, alpha, a, b, c);
-  for (int64_t i = m0; i < m1; ++i) {
+void gemm_nn_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c) {
+  if (use_avx2()) return avx2::gemm_nn_rows(m, n, k, alpha, a, b, c);
+  for (int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     if (std::find(arow, arow + k, 0.0F) == arow + k) {  // dense row
@@ -285,23 +226,21 @@ void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
 
 /// The zero check is hoisted per A row (one O(m) scan instead of m
 /// per-element tests) exactly like gemm_nn_rows.
-void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
-                  float alpha, const float* a, const float* b, float* c) {
-  if (use_avx2()) {
-    return avx2::gemm_tn_rows(m0, m1, n, k, lda, alpha, a, b, c);
-  }
+void gemm_tn_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c) {
+  if (use_avx2()) return avx2::gemm_tn_rows(m, n, k, alpha, a, b, c);
   for (int64_t p = 0; p < k; ++p) {
-    const float* arow = a + p * lda;
+    const float* arow = a + p * m;
     const float* brow = b + p * n;
-    if (std::find(arow + m0, arow + m1, 0.0F) == arow + m1) {  // dense row
-      for (int64_t i = m0; i < m1; ++i) {
+    if (std::find(arow, arow + m, 0.0F) == arow + m) {  // dense row
+      for (int64_t i = 0; i < m; ++i) {
         const float av = alpha * arow[i];
         float* crow = c + i * n;
         for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
       continue;
     }
-    for (int64_t i = m0; i < m1; ++i) {
+    for (int64_t i = 0; i < m; ++i) {
       const float av = alpha * arow[i];
       if (av == 0.0F) continue;
       float* crow = c + i * n;
@@ -310,10 +249,10 @@ void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
   }
 }
 
-void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c) {
-  if (use_avx2()) return avx2::gemm_nt_rows(m0, m1, n, k, alpha, a, b, c);
-  for (int64_t i = m0; i < m1; ++i) {
+void gemm_nt_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c) {
+  if (use_avx2()) return avx2::gemm_nt_rows(m, n, k, alpha, a, b, c);
+  for (int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     for (int64_t j = 0; j < n; ++j) {

@@ -51,7 +51,9 @@ class LevelGuard {
 };
 
 // ---- elementwise kernels ---------------------------------------------------
-// All operate on contiguous float buffers; in-place variants mutate y.
+// All operate on contiguous float buffers; in-place variants mutate y. The
+// inference engine's fused plan ops (infer/engine.cpp) chain these same
+// kernels over one image at a time, so fused and unfused plans share bits.
 
 /// y[i] += a * x[i]
 void axpy(int64_t n, float a, const float* x, float* y);
@@ -88,64 +90,31 @@ void lif_step_eval(int64_t m, float tau, float v_th, bool zero_reset,
 void lif_step_train(int64_t m, float tau, float v_th, bool zero_reset,
                     const float* in, float* u_post, float* u_out, float* s_out);
 
-// ---- fused inference epilogues ---------------------------------------------
-// Single-pass kernels for the plan-IR fusion pass (infer/compile.cpp): the
-// producer's elementwise math feeds the LIF membrane (or the residual add)
-// without the intermediate ever reaching memory. Each expression is copied
-// verbatim from the unfused kernel pair it replaces — same operand order,
-// separate mul and add — so fused and unfused plans are bitwise identical on
-// both tiers.
-
-/// lif_step_eval with the conv-bias add folded in: u = tau * u_post + v where
-/// v = in + bias, exactly the unfused per-channel bias pass followed by
-/// lif_step_eval. s_out may alias in.
-void lif_step_eval_bias(int64_t m, float tau, float v_th, bool zero_reset,
-                        float bias, const float* in, float* u_post,
-                        float* s_out);
-/// BatchNorm eval affine feeding one LIF timestep over a channel plane:
-/// a = eff * ((x - mu) * inv_std) + beta, then the lif_step_eval update on a.
-/// s_out may alias x.
-void affine_lif_step(int64_t n, float mu, float inv_std, float eff, float beta,
-                     float tau, float v_th, bool zero_reset, const float* x,
-                     float* u_post, float* s_out);
-/// Residual add feeding one LIF timestep: u = tau * u_post + (a + 1*b),
-/// matching the unfused copy + axpy(1, b) then lif_step_eval. s_out may alias
-/// a, never b.
-void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
-                  const float* a, const float* b, float* u_post, float* s_out);
-/// BatchNorm eval affine feeding a residual add over a channel plane:
-/// v = eff * ((x - mu) * inv_std) + beta, then y = swap ? other + 1*v
-/// : v + 1*other — `swap` records which add operand the affine produced, so
-/// the axpy operand order (and therefore the bits) match the unfused plan.
-/// y may alias x, never other.
-void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
-                bool swap, const float* x, const float* other, float* y);
-
 /// Fused SGD-with-momentum update: v = mu*v + g + decay*w; w -= lr*v.
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w);
 
 // ---- dense GEMM row kernels ------------------------------------------------
-// Row strips of C += alpha * op(A) * op(B) over packed row-major operands;
-// gemm() (tensor/gemm.h) scales C by beta and runs rows [0, m) on the
-// calling thread. Every C element accumulates its k contributions in ascending order
-// with unfused mul+add, and a zero A element is skipped (it would only add
-// ±0.0), so both tiers return the same bits on finite inputs. The AVX2 NN/TN
-// kernels tile n into cache-resident panels and update four C rows per
-// streamed B row; the tiling changes which element is touched when, never
-// the order of one element's terms.
+// C += alpha * op(A) * op(B) over packed row-major operands, all m rows;
+// gemm() (tensor/gemm.h) scales C by beta first and calls one of these on
+// the calling thread. Every C element accumulates its k contributions in
+// ascending order with unfused mul+add, and a zero A element is skipped (it
+// would only add ±0.0), so both tiers return the same bits on finite inputs.
+// The AVX2 NN/TN kernels tile n into cache-resident panels and update four C
+// rows per streamed B row; the tiling changes which element is touched when,
+// never the order of one element's terms.
 
-/// Rows [m0, m1) of C += alpha * A * B (A [m,k], B [k,n]).
-void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c);
-/// Rows [m0, m1) of C += alpha * A^T * B (A [k,m] with leading dim lda).
-void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
-                  float alpha, const float* a, const float* b, float* c);
-/// Rows [m0, m1) of C += alpha * A * B^T (B [n,k]). Each dot product
+/// C [m,n] += alpha * A * B (A [m,k], B [k,n]).
+void gemm_nn_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c);
+/// C [m,n] += alpha * A^T * B (A [k,m], B [k,n]).
+void gemm_tn_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c);
+/// C [m,n] += alpha * A * B^T (A [m,k], B [n,k]). Each dot product
 /// accumulates in double; the AVX2 tier runs four output columns as four
 /// independent double lanes.
-void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c);
+void gemm_nt_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c);
 
 // ---- typed weight-plane kernels (tensor/weight_plane.h) --------------------
 // The quantized serving path. Unlike the float kernels above, the int8 GEMMs

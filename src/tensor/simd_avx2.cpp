@@ -226,118 +226,6 @@ void lif_step_train(int64_t m, float tau, float v_th, bool zero_reset,
   }
 }
 
-namespace {
-
-/// Spike + reset tail of every LIF-family kernel: s = (u >= v_th), then the
-/// reset update — the exact vector sequence of lif_step_eval.
-inline void lif_fire(__m256 u, __m256 vth, __m256 one, bool zero_reset,
-                     float* u_post, float* s_out) {
-  const __m256 mask = _mm256_cmp_ps(u, vth, _CMP_GE_OQ);
-  const __m256 s = _mm256_and_ps(mask, one);
-  _mm256_storeu_ps(s_out, s);
-  const __m256 reset = zero_reset
-                           ? _mm256_mul_ps(u, _mm256_sub_ps(one, s))
-                           : _mm256_sub_ps(u, _mm256_mul_ps(vth, s));
-  _mm256_storeu_ps(u_post, reset);
-}
-
-}  // namespace
-
-void lif_step_eval_bias(int64_t m, float tau, float v_th, bool zero_reset,
-                        float bias, const float* in, float* u_post,
-                        float* s_out) {
-  const __m256 vtau = _mm256_set1_ps(tau);
-  const __m256 vth = _mm256_set1_ps(v_th);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  const __m256 vbias = _mm256_set1_ps(bias);
-  int64_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256 v = _mm256_add_ps(_mm256_loadu_ps(in + i), vbias);
-    const __m256 u = lif_membrane(vtau, _mm256_loadu_ps(u_post + i), v);
-    lif_fire(u, vth, one, zero_reset, u_post + i, s_out + i);
-  }
-  for (; i < m; ++i) {
-    const float v = in[i] + bias;
-    const float u = tau * u_post[i] + v;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void affine_lif_step(int64_t n, float mu, float inv_std, float eff, float beta,
-                     float tau, float v_th, bool zero_reset, const float* x,
-                     float* u_post, float* s_out) {
-  const __m256 vmu = _mm256_set1_ps(mu);
-  const __m256 vs = _mm256_set1_ps(inv_std);
-  const __m256 ve = _mm256_set1_ps(eff);
-  const __m256 vb = _mm256_set1_ps(beta);
-  const __m256 vtau = _mm256_set1_ps(tau);
-  const __m256 vth = _mm256_set1_ps(v_th);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v =
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), vmu), vs);
-    const __m256 a = _mm256_add_ps(_mm256_mul_ps(ve, v), vb);
-    const __m256 u = lif_membrane(vtau, _mm256_loadu_ps(u_post + i), a);
-    lif_fire(u, vth, one, zero_reset, u_post + i, s_out + i);
-  }
-  for (; i < n; ++i) {
-    const float v = (x[i] - mu) * inv_std;
-    const float a = eff * v + beta;
-    const float u = tau * u_post[i] + a;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
-                  const float* a, const float* b, float* u_post, float* s_out) {
-  const __m256 vtau = _mm256_set1_ps(tau);
-  const __m256 vth = _mm256_set1_ps(v_th);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  int64_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256 v = _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                   _mm256_mul_ps(one, _mm256_loadu_ps(b + i)));
-    const __m256 u = lif_membrane(vtau, _mm256_loadu_ps(u_post + i), v);
-    lif_fire(u, vth, one, zero_reset, u_post + i, s_out + i);
-  }
-  for (; i < m; ++i) {
-    const float v = a[i] + 1.0F * b[i];
-    const float u = tau * u_post[i] + v;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
-                bool swap, const float* x, const float* other, float* y) {
-  const __m256 vmu = _mm256_set1_ps(mu);
-  const __m256 vs = _mm256_set1_ps(inv_std);
-  const __m256 ve = _mm256_set1_ps(eff);
-  const __m256 vb = _mm256_set1_ps(beta);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v =
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), vmu), vs);
-    const __m256 a = _mm256_add_ps(_mm256_mul_ps(ve, v), vb);
-    const __m256 o = _mm256_loadu_ps(other + i);
-    const __m256 r = swap ? _mm256_add_ps(o, _mm256_mul_ps(one, a))
-                          : _mm256_add_ps(a, _mm256_mul_ps(one, o));
-    _mm256_storeu_ps(y + i, r);
-  }
-  for (; i < n; ++i) {
-    const float v = (x[i] - mu) * inv_std;
-    const float a = eff * v + beta;
-    y[i] = swap ? other[i] + 1.0F * a : a + 1.0F * other[i];
-  }
-}
-
 void sgd_step(int64_t n, float lr, float momentum, float decay, const float* g,
               float* v, float* w) {
   const __m256 vmom = _mm256_set1_ps(momentum);
@@ -431,13 +319,13 @@ inline void update4(float av0, float av1, float av2, float av3,
 
 }  // namespace
 
-void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c) {
+void gemm_nn_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c) {
   const int64_t panel = panel_width(k);
   for (int64_t j0 = 0; j0 < n; j0 += panel) {
     const int64_t j1 = std::min(n, j0 + panel);
-    int64_t i = m0;
-    for (; i + 4 <= m1; i += 4) {
+    int64_t i = 0;
+    for (; i + 4 <= m; i += 4) {
       const float* ar0 = a + i * k;
       const float* ar1 = ar0 + k;
       const float* ar2 = ar1 + k;
@@ -451,7 +339,7 @@ void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
                 alpha * ar3[p], b + p * n, j0, j1, cr0, cr1, cr2, cr3);
       }
     }
-    for (; i < m1; ++i) {  // remainder rows
+    for (; i < m; ++i) {  // remainder rows
       const float* arow = a + i * k;
       float* crow = c + i * n;
       for (int64_t p = 0; p < k; ++p) {
@@ -463,9 +351,9 @@ void gemm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
   }
 }
 
-void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c) {
-  for (int64_t i = m0; i < m1; ++i) {
+void gemm_nt_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c) {
+  for (int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     int64_t j = 0;
@@ -503,27 +391,27 @@ void gemm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
   }
 }
 
-void gemm_tn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, int64_t lda,
-                  float alpha, const float* a, const float* b, float* c) {
+void gemm_tn_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const float* b, float* c) {
   const int64_t panel = panel_width(k);
   for (int64_t j0 = 0; j0 < n; j0 += panel) {
     const int64_t j1 = std::min(n, j0 + panel);
-    int64_t i = m0;
-    for (; i + 4 <= m1; i += 4) {
+    int64_t i = 0;
+    for (; i + 4 <= m; i += 4) {
       float* cr0 = c + i * n;
       float* cr1 = cr0 + n;
       float* cr2 = cr1 + n;
       float* cr3 = cr2 + n;
       for (int64_t p = 0; p < k; ++p) {
-        const float* arow = a + p * lda + i;
+        const float* arow = a + p * m + i;
         update4(alpha * arow[0], alpha * arow[1], alpha * arow[2],
                 alpha * arow[3], b + p * n, j0, j1, cr0, cr1, cr2, cr3);
       }
     }
-    for (; i < m1; ++i) {  // remainder rows
+    for (; i < m; ++i) {  // remainder rows
       float* crow = c + i * n;
       for (int64_t p = 0; p < k; ++p) {
-        const float av = alpha * a[p * lda + i];
+        const float av = alpha * a[p * m + i];
         if (av == 0.0F) continue;
         axpy_strip(av, b + p * n, j0, j1, crow);
       }
@@ -619,21 +507,13 @@ void lif_backward_step(int64_t, int, float, float, float, bool, bool,
 void lif_step_eval(int64_t, float, float, bool, const float*, float*, float*) {}
 void lif_step_train(int64_t, float, float, bool, const float*, float*, float*,
                     float*) {}
-void lif_step_eval_bias(int64_t, float, float, bool, float, const float*,
-                        float*, float*) {}
-void affine_lif_step(int64_t, float, float, float, float, float, float, bool,
-                     const float*, float*, float*) {}
-void add_lif_step(int64_t, float, float, bool, const float*, const float*,
-                  float*, float*) {}
-void affine_add(int64_t, float, float, float, float, bool, const float*,
-                const float*, float*) {}
 void sgd_step(int64_t, float, float, float, const float*, float*, float*) {}
-void gemm_nn_rows(int64_t, int64_t, int64_t, int64_t, float, const float*,
-                  const float*, float*) {}
-void gemm_tn_rows(int64_t, int64_t, int64_t, int64_t, int64_t, float,
-                  const float*, const float*, float*) {}
-void gemm_nt_rows(int64_t, int64_t, int64_t, int64_t, float, const float*,
-                  const float*, float*) {}
+void gemm_nn_rows(int64_t, int64_t, int64_t, float, const float*, const float*,
+                  float*) {}
+void gemm_tn_rows(int64_t, int64_t, int64_t, float, const float*, const float*,
+                  float*) {}
+void gemm_nt_rows(int64_t, int64_t, int64_t, float, const float*, const float*,
+                  float*) {}
 void dequant_bf16(int64_t, const uint16_t*, float*) {}
 void gemm_s8_wxs(int64_t, int64_t, int64_t, const int8_t*, const uint8_t*,
                  const float*, float*) {}

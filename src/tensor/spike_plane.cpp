@@ -42,14 +42,14 @@ bool SpikePlane::build(const float* data, int64_t r, int64_t c,
   return true;
 }
 
-void spmm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const SpikePlane& plane, float* c) {
+void spmm_nn_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const SpikePlane& plane, float* c) {
   TTSNN_CHECK(plane.rows == k && plane.cols == n,
               "spmm_nn_rows: plane is " << plane.rows << "x" << plane.cols
                                         << ", expected " << k << "x" << n);
   const int64_t* rp = plane.row_ptr.data();
   const int32_t* ci = plane.col_idx.data();
-  for (int64_t i = m0; i < m1; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     for (int64_t p = 0; p < k; ++p) {
@@ -63,14 +63,14 @@ void spmm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
   }
 }
 
-void spmm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const SpikePlane& plane, float* c) {
+void spmm_nt_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const SpikePlane& plane, float* c) {
   TTSNN_CHECK(plane.rows == n && plane.cols == k,
               "spmm_nt_rows: plane is " << plane.rows << "x" << plane.cols
                                         << ", expected " << n << "x" << k);
   const int64_t* rp = plane.row_ptr.data();
   const int32_t* ci = plane.col_idx.data();
-  for (int64_t i = m0; i < m1; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     for (int64_t j = 0; j < n; ++j) {

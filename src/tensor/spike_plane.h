@@ -50,16 +50,16 @@ struct SpikePlane {
   void clear();
 };
 
-/// Rows [m0, m1) of C += alpha * A * B for row-major A [m, k], C [m, n],
-/// where `plane` indexes B [k, n]. Zero A elements are skipped exactly like
-/// the dense kernels' spike skip.
-void spmm_nn_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const SpikePlane& plane, float* c);
+/// C += alpha * A * B for row-major A [m, k], C [m, n], where `plane`
+/// indexes B [k, n]. Zero A elements are skipped exactly like the dense
+/// kernels' spike skip.
+void spmm_nn_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const SpikePlane& plane, float* c);
 
-/// Rows [m0, m1) of C += alpha * A * B^T for A [m, k], C [m, n], where
-/// `plane` indexes B [n, k]. Accumulates each dot product in double in
-/// ascending index order, matching simd::gemm_nt_rows bit-for-bit.
-void spmm_nt_rows(int64_t m0, int64_t m1, int64_t n, int64_t k, float alpha,
-                  const float* a, const SpikePlane& plane, float* c);
+/// C += alpha * A * B^T for A [m, k], C [m, n], where `plane` indexes
+/// B [n, k]. Accumulates each dot product in double in ascending index
+/// order, matching simd::gemm_nt_rows bit-for-bit.
+void spmm_nt_rows(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
+                  const SpikePlane& plane, float* c);
 
 }  // namespace ttsnn

@@ -9,6 +9,8 @@
 // workspace must see exactly one allocation per call.
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,9 @@
 #include "infer/engine.h"
 #include "layout_check.h"
 #include "model_gen.h"
+#include "nn/batchnorm.h"
 #include "nn/containers.h"
+#include "nn/conv2d.h"
 #include "nn/lif.h"
 #include "nn/linear.h"
 #include "tensor/arena.h"
@@ -362,6 +366,68 @@ TEST(FusionAnalysisTest, FusedPlansVerifyAndStayBitIdentical) {
         << fused.summary();
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+/// True when a and b have the same shape and the same bits in every float.
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+TEST(FusionAnalysisTest, AffineOnSecondAddOperandStaysBitIdentical) {
+  // A residual join whose affine operand sits in the add's SECOND slot (the
+  // shortcut's BatchNorm). The fused kAffineAdd takes the affine's input as
+  // its first operand and the body's output as in2, so it adds the join's
+  // operands in the reverse of the unfused order; IEEE-754 addition is
+  // commutative, so the bits must not move.
+  Rng rng(43);
+  auto body = std::make_unique<Sequential>();
+  body->emplace<LIFNeuron>();
+  body->emplace<Conv2d>(Conv2d::Options{.in_channels = 4, .out_channels = 4},
+                        rng);
+  auto shortcut = std::make_unique<Sequential>();
+  shortcut->emplace<Conv2d>(Conv2d::Options{.in_channels = 4,
+                                            .out_channels = 4,
+                                            .kernel_h = 1,
+                                            .kernel_w = 1},
+                            rng);
+  shortcut->emplace<BatchNorm>(BatchNorm::Options{.channels = 4});
+  Sequential net;
+  net.add(std::make_unique<Residual>(std::move(body), std::move(shortcut)));
+  // Move the running stats off their initial values before serving.
+  net.set_training(true);
+  net.forward(Tensor::uniform({2, 2, 4, 6, 6}, rng, -1.0F, 2.0F));
+  net.clear_cache();
+  net.set_training(false);
+
+  const infer::Engine fused =
+      infer::compile(net, {.merge_tt = false, .fold_batchnorm = false});
+  const infer::Engine unfused = infer::compile(
+      net,
+      {.merge_tt = false, .fold_batchnorm = false, .fuse_elementwise = false});
+  int body_reg = -1;
+  const Op* join = nullptr;
+  int joins = 0;
+  for (const Op& op : fused.ops()) {
+    if (op.kind == Op::Kind::kConv && op.conv.kernel_h == 3) body_reg = op.out;
+    if (op.kind == Op::Kind::kAffineAdd) {
+      join = &op;
+      ++joins;
+    }
+  }
+  ASSERT_GE(body_reg, 0) << fused.summary();
+  ASSERT_EQ(joins, 1) << fused.summary();
+  EXPECT_EQ(join->in2, body_reg) << fused.summary();
+  EXPECT_EQ(join->out, fused.result_reg()) << fused.summary();
+
+  Tensor x = Tensor::uniform({3, 2, 4, 6, 6}, rng, -1.0F, 2.0F);
+  const Tensor want = net.forward(x);
+  net.clear_cache();
+  const Tensor got_fused = fused.run(x);
+  const Tensor got_unfused = unfused.run(x);
+  EXPECT_TRUE(bit_equal(got_fused, want)) << fused.summary();
+  EXPECT_TRUE(bit_equal(got_unfused, want)) << unfused.summary();
 }
 
 TEST(PlanAnalysisTest, LiveRangesMatchTheDataflow) {

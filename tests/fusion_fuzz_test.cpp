@@ -22,29 +22,40 @@
 namespace ttsnn {
 namespace {
 
-int count_fused(const infer::Engine& engine) {
-  int n = 0;
-  for (const infer::Op& op : engine.ops()) {
-    switch (op.kind) {
-      case infer::Op::Kind::kConvLif:
-      case infer::Op::Kind::kAffineLif:
-      case infer::Op::Kind::kAddLif:
-      case infer::Op::Kind::kAffineAdd:
-        ++n;
-        break;
-      default:
-        break;
+/// The four fused kinds, in the order of FusedCounts::n.
+constexpr infer::Op::Kind kFusedKinds[4] = {
+    infer::Op::Kind::kConvLif, infer::Op::Kind::kAffineLif,
+    infer::Op::Kind::kAddLif, infer::Op::Kind::kAffineAdd};
+
+/// Fused ops per kind, summed over the engines added.
+struct FusedCounts {
+  int64_t n[4] = {0, 0, 0, 0};
+
+  void add(const infer::Engine& engine) {
+    for (const infer::Op& op : engine.ops()) {
+      for (int k = 0; k < 4; ++k) {
+        if (op.kind == kFusedKinds[k]) ++n[k];
+      }
     }
   }
-  return n;
+  void add(const FusedCounts& other) {
+    for (int k = 0; k < 4; ++k) n[k] += other.n[k];
+  }
+  int64_t total() const { return n[0] + n[1] + n[2] + n[3]; }
+};
+
+FusedCounts count_fused(const infer::Engine& engine) {
+  FusedCounts c;
+  c.add(engine);
+  return c;
 }
 
 /// One sample: ground truth from eval Module::forward, then four engines —
 /// {exact, merged} x {fusion on, fusion off}. The exact lowerings must match
 /// the module bit-for-bit; the merged pair must match each other bit-for-bit;
-/// all four must lay out soundly. Returns the fused-op count so the sweep can
-/// assert fusion actually fired.
-int check_sample(uint64_t seed, const testgen::GeneratedModel& gm) {
+/// all four must lay out soundly. Returns the fused ops per kind so the sweep
+/// can assert every kind actually fired.
+FusedCounts check_sample(uint64_t seed, const testgen::GeneratedModel& gm) {
   SCOPED_TRACE(testgen::seed_line(seed));
   SCOPED_TRACE(gm.desc);
 
@@ -81,25 +92,27 @@ int check_sample(uint64_t seed, const testgen::GeneratedModel& gm) {
       << m_on.summary();
 
   // Fusion must never appear with the pass disabled.
-  EXPECT_EQ(count_fused(e_off), 0) << e_off.summary();
-  EXPECT_EQ(count_fused(m_off), 0) << m_off.summary();
+  EXPECT_EQ(count_fused(e_off).total(), 0) << e_off.summary();
+  EXPECT_EQ(count_fused(m_off).total(), 0) << m_off.summary();
 
   for (const infer::Engine* e : {&e_on, &e_off, &m_on, &m_off}) {
     testgen::expect_layout_sound(*e, gm.input);
   }
-  return count_fused(e_on) + count_fused(m_on);
+  FusedCounts fired = count_fused(e_on);
+  fired.add(m_on);
+  return fired;
 }
 
 TEST(FusionFuzzTest, RandomModelsBitIdenticalFusedAndUnfused) {
   const uint64_t base = testgen::suite_seed(0x77f5a11);
   const int iters =
       testgen::seed_pinned() ? 1 : testgen::iteration_budget(200);
-  int64_t fused_total = 0;
+  FusedCounts fused;
   bool saw_mode[4] = {false, false, false, false};
   for (int i = 0; i < iters; ++i) {
     const uint64_t seed = base + static_cast<uint64_t>(i);
     const testgen::GeneratedModel gm = testgen::random_model(seed);
-    fused_total += check_sample(seed, gm);
+    fused.add(check_sample(seed, gm));
     if (::testing::Test::HasFailure()) {
       // One failing sample is enough; its seed line is already in the trace.
       ADD_FAILURE() << "stopping the sweep after the first failing sample; "
@@ -113,10 +126,14 @@ TEST(FusionFuzzTest, RandomModelsBitIdenticalFusedAndUnfused) {
   }
   if (!testgen::seed_pinned() && iters >= 100) {
     // The seeded generator must exercise every TT mode across a full sweep,
-    // and the pass must have fused real chains.
+    // and the pass must have fused real chains of every fused kind.
     EXPECT_TRUE(saw_mode[0] && saw_mode[1] && saw_mode[2] && saw_mode[3])
         << "generator failed to cover all TT modes in " << iters << " samples";
-    EXPECT_GT(fused_total, 0) << "fusion never fired across the sweep";
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_GT(fused.n[k], 0)
+          << infer::op_kind_name(kFusedKinds[k]) << " never fired across the "
+          << iters << "-sample sweep";
+    }
   }
 }
 

@@ -60,9 +60,9 @@ Tensor dense_ref(bool trans_b, int64_t m, int64_t n, int64_t k, float alpha,
   simd::LevelGuard scalar(simd::Level::kScalar);
   Tensor c = c0.clone();
   if (trans_b) {
-    simd::gemm_nt_rows(0, m, n, k, alpha, a.data(), b.data(), c.data());
+    simd::gemm_nt_rows(m, n, k, alpha, a.data(), b.data(), c.data());
   } else {
-    simd::gemm_nn_rows(0, m, n, k, alpha, a.data(), b.data(), c.data());
+    simd::gemm_nn_rows(m, n, k, alpha, a.data(), b.data(), c.data());
   }
   return c;
 }
@@ -105,9 +105,9 @@ TEST(SpikePlaneGemmTest, SparseMatchesNaiveBitwiseAcrossDensities) {
                             : plane.build(b.data(), k, n));
         Tensor out = c0.clone();
         if (trans_b) {
-          spmm_nt_rows(0, m, n, k, 0.5F, a.data(), plane, out.data());
+          spmm_nt_rows(m, n, k, 0.5F, a.data(), plane, out.data());
         } else {
-          spmm_nn_rows(0, m, n, k, 0.5F, a.data(), plane, out.data());
+          spmm_nn_rows(m, n, k, 0.5F, a.data(), plane, out.data());
         }
         EXPECT_TRUE(bit_identical(ref, out))
             << (trans_b ? "nt" : "nn") << " m=" << m << " n=" << n
