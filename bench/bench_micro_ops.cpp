@@ -308,16 +308,7 @@ void bench_planned_run(bench::Report& report) {
 int count_fused(const infer::Engine& engine) {
   int fused = 0;
   for (const infer::Op& op : engine.ops()) {
-    switch (op.kind) {
-      case infer::Op::Kind::kConvLif:
-      case infer::Op::Kind::kAffineLif:
-      case infer::Op::Kind::kAddLif:
-      case infer::Op::Kind::kAffineAdd:
-        ++fused;
-        break;
-      default:
-        break;
-    }
+    fused += infer::is_fused(op.kind) ? 1 : 0;
   }
   return fused;
 }

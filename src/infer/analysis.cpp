@@ -16,12 +16,6 @@ int64_t align_up(int64_t n) { return plan_align_up(n); }
 
 bool known(int64_t d) { return d != kDimUnknown; }
 
-/// Kinds whose in2 operand is meaningful (a residual join, fused or not).
-bool has_second_input(Op::Kind k) {
-  return k == Op::Kind::kAdd || k == Op::Kind::kAddLif ||
-         k == Op::Kind::kAffineAdd;
-}
-
 /// numel of a possibly-symbolic shape; kDimUnknown if any extent is unknown.
 int64_t sym_numel(const Shape& s) {
   int64_t n = 1;
@@ -287,16 +281,6 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     const ConvGeometry g = o.geometry(h, w);
     if (!g.pointwise()) f.col = std::max(f.col, g.col_rows() * g.col_cols());
   };
-  // Bytes of the transposed u8 matrix an int8 kernel converts each lowered
-  // spike image into (0 for f32/bf16, or while an extent is unknown).
-  auto tile_bytes = [](const WeightPlane& p, const Shape& s,
-                       const Conv2d::Options& o) -> int64_t {
-    const int64_t h = s[s.size() - 2];
-    const int64_t w = s[s.size() - 1];
-    if (p.dtype() != WeightDtype::kInt8 || !known(h) || !known(w)) return 0;
-    const ConvGeometry g = o.geometry(h, w);
-    return g.col_rows() * g.col_cols();
-  };
   // A bf16 kernel dequantizes whole into an f32 buffer once per op call.
   auto see_bf16 = [&f](const WeightPlane& p) {
     if (p.dtype() == WeightDtype::kBf16) f.scratch += align_up(p.numel());
@@ -328,13 +312,14 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
         const int64_t n = sym_numel(f.out);
         if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
       }
-      // On top of the membrane, as the engine's run_conv takes them: one u8
-      // tile (bytes packed into the float workspace) shared by both kernels
-      // of a merged HTT conv, whose steps run one at a time, so sized for
-      // the larger; then the full kernel's bf16 buffer and the half
-      // kernel's, both read across the step loop.
-      int64_t tile = tile_bytes(op.plane, in, op.conv);
-      if (htt) tile = std::max(tile, tile_bytes(op.half_plane, in, op.half_conv));
+      // On top of the membrane, in the order run_conv takes them: the u8
+      // tile (bytes packed into the float workspace), then the full
+      // kernel's bf16 buffer and the half kernel's, both read across the
+      // step loop.
+      const int64_t h = in[in.size() - 2];
+      const int64_t w = in[in.size() - 1];
+      const int64_t tile =
+          known(h) && known(w) ? int8_tile_bytes(op, h, w) : 0;
       if (tile > 0) f.scratch += align_up((tile + 3) / 4);
       see_bf16(op.plane);
       if (htt) see_bf16(op.half_plane);
@@ -535,7 +520,7 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
                                           << op_where(op, i)
                                           << " reads register r" << op.in
                                           << " before it is written");
-    if (has_second_input(op.kind)) {
+    if (reads_in2(op.kind)) {
       TTSNN_CHECK(op.in2 >= 0 && op.in2 < num_regs,
                   "infer verify: " << op_where(op, i)
                                    << " needs a second input register, got r"
@@ -646,6 +631,16 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
     group_max[out] = member_last(op.out);
   }
   return a;
+}
+
+int64_t int8_tile_bytes(const Op& op, int64_t h, int64_t w) {
+  // A default (f32) plane stands for an absent half kernel.
+  auto tile = [h, w](const WeightPlane& p, const Conv2d::Options& o) {
+    if (p.dtype() != WeightDtype::kInt8) return int64_t{0};
+    const ConvGeometry g = o.geometry(h, w);
+    return g.col_rows() * g.col_cols();
+  };
+  return std::max(tile(op.plane, op.conv), tile(op.half_plane, op.half_conv));
 }
 
 bool fusion_candidate(const PlanAnalysis& analysis, int reg) {

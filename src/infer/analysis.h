@@ -141,9 +141,19 @@ struct MemoryPlan {
 /// Lays out the plan for one concrete input shape. Runs the shape-transfer
 /// functions with every extent known, so residual geometry errors (pool
 /// divisibility, empty conv outputs, a TEBN plan run at the wrong T) throw
-/// labeled ttsnn::Error here — before any kernel runs.
+/// labeled ttsnn::Error here — before any kernel runs. These are the only
+/// input checks: the engine's kernels take every shape from this plan and
+/// repeat none of them.
 MemoryPlan plan_memory(const std::vector<Op>& ops, const PlanAnalysis& analysis,
                        const Shape& input);
+
+/// Bytes of the u8 tile an int8 conv op (kConv / kConvLif) converts each
+/// lowered spike image into, at input spatial size h x w: its int8 kernel's
+/// column matrix, or for a merged HTT conv, whose steps run one at a time
+/// and share one tile, the larger of its full and half kernels'. 0 when no
+/// kernel of the op is int8. op_footprint sizes the scratch by it and the
+/// engine's run_conv takes the tile by it.
+int64_t int8_tile_bytes(const Op& op, int64_t h, int64_t w);
 
 /// Human-readable memory-plan report for one input shape: one row per
 /// register (live range, shape, bytes, offset, alias/in-place flags) plus

@@ -1,4 +1,3 @@
-#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -101,22 +100,11 @@ int lower_ttconv(const TTConv2d& tt, int in_reg, Builder& b) {
   return b.emit(std::move(op));
 }
 
-/// Per-channel inverse std, computed with the exact expression BatchNorm's
-/// eval forward uses so standalone affine ops stay bit-identical.
-Tensor bn_inv_std(const BatchNorm& bn) {
-  const Tensor& var = bn.running_var();
-  Tensor inv_std(var.shape());
-  for (int64_t c = 0; c < var.numel(); ++c) {
-    const double v = var[c];
-    inv_std[c] =
-        1.0F / std::sqrt(static_cast<float>(v) + bn.options().eps);
-  }
-  return inv_std;
-}
-
 int lower_bn(const BatchNorm& bn, int in_reg, Builder& b) {
   const BatchNorm::Options& o = bn.options();
-  Tensor inv_std = bn_inv_std(bn);
+  // BatchNorm's own eval inverse std, so a standalone affine op (which runs
+  // batchnorm_eval_image) matches eval forward by construction.
+  Tensor inv_std = batchnorm_inv_std(bn.running_var(), o.eps);
 
   // Peephole fold: inference BN is y = s[c] * conv(x) + (beta - s * mean)
   // with s = gamma * alpha_vth * inv_std, time-invariant for every mode but
@@ -377,18 +365,9 @@ bool provably_binary(const std::vector<Op>& ops, const std::vector<int>& def_op,
     const int d = def_op[static_cast<size_t>(reg)];
     if (d < 0) return false;
     const Op& op = ops[static_cast<size_t>(d)];
-    switch (op.kind) {
-      case Op::Kind::kLif:
-      case Op::Kind::kConvLif:
-      case Op::Kind::kAffineLif:
-      case Op::Kind::kAddLif:
-        return true;
-      case Op::Kind::kFlatten:
-        reg = op.in;
-        continue;
-      default:
-        return false;
-    }
+    if (ends_in_lif(op.kind)) return true;
+    if (op.kind != Op::Kind::kFlatten) return false;
+    reg = op.in;
   }
 }
 

@@ -55,19 +55,17 @@ struct CompileOptions {
   bool merge_tt = true;
   /// Fold inference-mode BatchNorm into the preceding conv where the BN scale
   /// is time-invariant (all modes except TEBN). Off: keep a standalone affine
-  /// op that reproduces BatchNorm's eval forward bit-for-bit.
+  /// op, which runs BatchNorm's own eval kernel (batchnorm_eval_image), so it
+  /// matches eval forward by construction.
   bool fold_batchnorm = true;
-  /// Byte budget of the per-shape compiled-program cache (plan_cache.h):
-  /// plan metadata only — weights are refcounted once outside the cache —
-  /// with LRU eviction past the budget. 0 disables eviction entirely.
-  int64_t plan_cache_bytes = 8LL << 20;
   /// Greedily fuse elementwise chains (conv/affine/add feeding a LIF step,
   /// affine feeding a residual add) into single fused ops, wherever the
   /// liveness analysis proves the intermediate has exactly one consumer. A
-  /// fused op runs the kernels of the ops it replaces one image at a time,
-  /// so the intermediate never leaves the op's own output and the outputs
-  /// are bit-identical with fusion on or off; off keeps the
-  /// one-op-per-module reference lowering.
+  /// fused op runs its first part's kernel, then the rest as the engine's
+  /// one per-image epilogue (the join's axpy, then the LIF step), so the
+  /// intermediate never leaves the op's own output and the outputs are
+  /// bit-identical with fusion on or off; off keeps the one-op-per-module
+  /// reference lowering.
   bool fuse_elementwise = true;
   /// Storage dtype requested for conv/linear weight matrices (including the
   /// fused conv+LIF ops and merged HTT kernel pairs). kF32 — the default
@@ -82,8 +80,10 @@ struct CompileOptions {
 };
 
 /// One instruction of the flat plan. Ops read register `in` (and `in2` for
-/// kAdd) and write register `out`; register 0 is the network input. Which
-/// field group is meaningful depends on `kind`.
+/// the kinds reads_in2() names) and write register `out`; register 0 is the
+/// network input. Which field group is meaningful depends on `kind`. An op
+/// carries no shapes: analysis.h derives every output shape, scratch size
+/// and input check from the op and the input shape, once per shape.
 struct Op {
   enum class Kind {
     kConv,        ///< dense conv: weight [O,C,kh,kw], optional bias [O]
@@ -96,8 +96,9 @@ struct Op {
     kLinear,      ///< dense classifier head
     kAdd,         ///< residual join: regs[out] = regs[in] + regs[in2]
     // Fused elementwise chains (compile.cpp's fusion pass; never lowered
-    // directly from modules). Each reuses the field groups of its parts and
-    // runs its parts' kernels, one image (C x H x W of one (t, n)) at a time.
+    // directly from modules). Each reuses the field groups of its parts: the
+    // first part's kernel runs, then the engine's per-image epilogue runs
+    // the rest on each image (C x H x W of one (t, n)) it wrote.
     kConvLif,     ///< conv whose LIF step runs on each output tile
     kAffineLif,   ///< inference-BN affine feeding a LIF step
     kAddLif,      ///< residual join feeding a LIF step
@@ -152,6 +153,15 @@ struct Op {
 /// Short lowercase mnemonic for an op kind ("conv", "tt", ...), shared by
 /// Engine::summary() and every analysis diagnostic.
 const char* op_kind_name(Op::Kind kind);
+
+/// The fusion pass's kinds: conv+lif, affine+lif, add+lif and affine+add.
+bool is_fused(Op::Kind kind);
+
+/// Kinds whose output is a LIF step's spikes: kLif and the *Lif fusions.
+bool ends_in_lif(Op::Kind kind);
+
+/// Kinds that read `in2`: the residual join, alone or fused.
+bool reads_in2(Op::Kind kind);
 
 /// Unique read-only weight storage of one plan, split by storage dtype.
 /// Each shared buffer is counted once (PR-7 semantics): Engine copies,

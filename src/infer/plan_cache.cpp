@@ -128,7 +128,7 @@ std::shared_ptr<const CompiledProgram> ProgramCache::get(
         break;
       }
     }
-    if (budget_ > 0) evict_locked(input);
+    evict_locked(input);
   }
   compile_slot.set_value(prog);
   return prog;

@@ -21,10 +21,11 @@
 ///    wait on the entry's shared future — a cold shape never compiles twice,
 ///    and a cold shape's compile never blocks other shapes (the lock is
 ///    dropped while compiling).
-///  - LRU eviction by a configurable byte budget over the per-entry plan
-///    metadata. Weights are NOT in the entries: programs reference the
-///    engine's op list, whose tensors share refcounted read-only storage, so
-///    N cached shapes cost N layouts — never N copies of the parameters.
+///  - LRU eviction by a byte budget (kProgramCacheBytes for every Engine)
+///    over the per-entry plan metadata. Weights are NOT in the entries:
+///    programs reference the engine's op list, whose tensors share
+///    refcounted read-only storage, so N cached shapes cost N layouts —
+///    never N copies of the parameters.
 ///  - Engine copies (Router shard replicas) share one ProgramCache via
 ///    shared_ptr, so a shape compiled on any shard is warm on all of them.
 ///  - A cache-served program is bitwise-identical to a freshly compiled one:
@@ -42,6 +43,10 @@
 #include "infer/engine.h"
 
 namespace ttsnn::infer {
+
+/// Byte budget of every Engine's ProgramCache: plan metadata only, since
+/// weights are refcounted once outside the cache.
+constexpr int64_t kProgramCacheBytes = 8LL << 20;
 
 /// Per-op execution record of a compiled program: where this op's output
 /// lives at this input signature.
@@ -71,7 +76,7 @@ struct CompiledProgram {
 struct ProgramCacheStats {
   int64_t entries = 0;       ///< shapes currently cached (compiled)
   int64_t bytes = 0;         ///< plan metadata bytes held
-  int64_t budget_bytes = 0;  ///< configured budget (0 = unbounded)
+  int64_t budget_bytes = 0;  ///< the LRU byte budget
   int64_t hits = 0;          ///< lookups served from (or joined onto) an entry
   int64_t misses = 0;        ///< lookups that triggered a compile
   int64_t evictions = 0;     ///< entries dropped by the LRU budget
@@ -92,10 +97,9 @@ CompiledProgram compile_program(const std::vector<Op>& ops,
 /// model, process-wide.
 class ProgramCache {
  public:
-  /// budget_bytes bounds the summed CompiledProgram::bytes; 0 disables
-  /// eviction. The most recently inserted entry is always retained, so a
-  /// budget smaller than one program still serves (it just never keeps a
-  /// second shape warm).
+  /// budget_bytes bounds the summed CompiledProgram::bytes. The most
+  /// recently inserted entry is always retained, so a budget smaller than
+  /// one program still serves (it just never keeps a second shape warm).
   explicit ProgramCache(int64_t budget_bytes) : budget_(budget_bytes) {}
 
   /// Returns the program for `input`, compiling on first miss

@@ -14,6 +14,9 @@ bool joint_stats(BatchNorm::Mode mode) {
   return mode != BatchNorm::Mode::kPerStep;
 }
 
+/// The f32 inverse std of every BatchNorm path, from batch or running var.
+float inv_std_of(float var, float eps) { return 1.0F / std::sqrt(var + eps); }
+
 }  // namespace
 
 BatchNorm::BatchNorm(Options opts) : opts_(opts) {
@@ -44,85 +47,109 @@ Tensor BatchNorm::forward(const Tensor& x) {
                 "TEBN configured for T=" << opts_.timesteps << ", got " << t_steps);
   }
 
+  const float* in = x.data();
+  const float* g_gamma = gamma_.value.data();
+  const float* g_beta = beta_.value.data();
+  auto step_at = [&](int64_t t) {
+    return opts_.mode == Mode::kTebn ? step_scale_.value[t] : 1.0F;
+  };
+
+  // Each path sets its cache before allocating the output, so the previous
+  // step's cache is freed first and the output can take its memory.
+  if (!training_) {
+    // Eval: the running statistics, one image at a time through the kernel
+    // the engine's affine ops run. Backward needs no cache here.
+    clear_cache();
+    Tensor out = Tensor::empty(x.shape());
+    float* y = out.data();
+    const Tensor inv_std = batchnorm_inv_std(running_var_, opts_.eps);
+    for (int64_t t = 0; t < t_steps; ++t) {
+      for (int64_t b = 0; b < n; ++b) {
+        const int64_t base = (t * n + b) * c * hw;
+        batchnorm_eval_image(c, hw, g_gamma, g_beta, running_mean_.data(),
+                             inv_std.data(), opts_.alpha_vth, step_at(t),
+                             in + base, y + base);
+      }
+    }
+    return out;
+  }
+
+  // Training: batch statistics per group of timesteps, which update the
+  // running statistics and normalize the group; backward reads the
+  // normalized input and the inverse std back from the cache.
   const int64_t groups = joint_stats(opts_.mode) ? 1 : t_steps;
   const int64_t group_t = t_steps / groups;
-
-  // Backward needs the normalized input; eval-mode forwards skip the cache
-  // entirely (and drop any cache left over from a previous training step).
-  const bool cache = training_;
   cached_t_ = t_steps;
   cached_n_ = n;
   cached_hw_ = hw;
-  cached_xhat_ = cache ? Tensor::empty(x.shape()) : Tensor();
-  if (cache) {
-    cached_inv_std_.assign(static_cast<size_t>(groups * c), 0.0F);
-  } else {
-    cached_inv_std_.clear();
-  }
-
+  cached_xhat_ = Tensor::empty(x.shape());
+  cached_inv_std_.assign(static_cast<size_t>(groups * c), 0.0F);
+  float* xhat = cached_xhat_.data();
   Tensor out = Tensor::empty(x.shape());
-  const float* in = x.data();
-  float* xhat = cache ? cached_xhat_.data() : nullptr;
   float* y = out.data();
-  const float* g_gamma = gamma_.value.data();
-  const float* g_beta = beta_.value.data();
 
   for (int64_t grp = 0; grp < groups; ++grp) {
     const int64_t t0 = grp * group_t;
     const int64_t t1 = t0 + group_t;
     const double count = static_cast<double>(group_t * n * hw);
     for (int64_t ch = 0; ch < c; ++ch) {
-      double mean, var;
-      if (training_) {
-        double s1 = 0.0, s2 = 0.0;
-        for (int64_t t = t0; t < t1; ++t) {
-          for (int64_t b = 0; b < n; ++b) {
-            const float* p = in + (((t * n + b) * c) + ch) * hw;
-            for (int64_t i = 0; i < hw; ++i) {
-              s1 += p[i];
-              s2 += static_cast<double>(p[i]) * p[i];
-            }
+      double s1 = 0.0, s2 = 0.0;
+      for (int64_t t = t0; t < t1; ++t) {
+        for (int64_t b = 0; b < n; ++b) {
+          const float* p = in + (((t * n + b) * c) + ch) * hw;
+          for (int64_t i = 0; i < hw; ++i) {
+            s1 += p[i];
+            s2 += static_cast<double>(p[i]) * p[i];
           }
         }
-        mean = s1 / count;
-        var = std::max(0.0, s2 / count - mean * mean);
-        // EMA of running statistics for eval mode.
-        const float m = opts_.momentum;
-        running_mean_[ch] = (1.0F - m) * running_mean_[ch] +
-                            m * static_cast<float>(mean);
-        running_var_[ch] =
-            (1.0F - m) * running_var_[ch] + m * static_cast<float>(var);
-      } else {
-        mean = running_mean_[ch];
-        var = running_var_[ch];
       }
-      const float inv_std = 1.0F / std::sqrt(static_cast<float>(var) + opts_.eps);
-      if (cache) cached_inv_std_[static_cast<size_t>(grp * c + ch)] = inv_std;
+      const double mean = s1 / count;
+      const double var = std::max(0.0, s2 / count - mean * mean);
+      // EMA of running statistics for eval mode.
+      const float m = opts_.momentum;
+      running_mean_[ch] = (1.0F - m) * running_mean_[ch] +
+                          m * static_cast<float>(mean);
+      running_var_[ch] =
+          (1.0F - m) * running_var_[ch] + m * static_cast<float>(var);
+      const float inv_std = inv_std_of(static_cast<float>(var), opts_.eps);
+      cached_inv_std_[static_cast<size_t>(grp * c + ch)] = inv_std;
       const float mu = static_cast<float>(mean);
       for (int64_t t = t0; t < t1; ++t) {
-        const float step = opts_.mode == Mode::kTebn ? step_scale_.value[t] : 1.0F;
-        const float eff = g_gamma[ch] * opts_.alpha_vth * step;
-        const float* p = in + (((t * n) * c) + ch) * hw;
-        float* yo = y + (((t * n) * c) + ch) * hw;
+        const float eff = g_gamma[ch] * opts_.alpha_vth * step_at(t);
         for (int64_t b = 0; b < n; ++b) {
-          const float* pb = p + b * c * hw;
-          float* yb = yo + b * c * hw;
-          if (cache) {
-            float* xb = xhat + (((t * n) * c) + ch) * hw + b * c * hw;
-            for (int64_t i = 0; i < hw; ++i) {
-              const float v = (pb[i] - mu) * inv_std;
-              xb[i] = v;
-              yb[i] = eff * v + g_beta[ch];
-            }
-          } else {
-            // Eval path: plain affine — same expression, vectorized.
-            simd::affine(hw, mu, inv_std, eff, g_beta[ch], pb, yb);
+          const int64_t base = (((t * n + b) * c) + ch) * hw;
+          const float* pb = in + base;
+          float* xb = xhat + base;
+          float* yb = y + base;
+          for (int64_t i = 0; i < hw; ++i) {
+            const float v = (pb[i] - mu) * inv_std;
+            xb[i] = v;
+            yb[i] = eff * v + g_beta[ch];
           }
         }
       }
     }
   }
   return out;
+}
+
+void batchnorm_eval_image(int64_t channels, int64_t hw, const float* gamma,
+                          const float* beta, const float* mean,
+                          const float* inv_std, float alpha_vth, float step,
+                          const float* x, float* y) {
+  for (int64_t ch = 0; ch < channels; ++ch) {
+    const float eff = gamma[ch] * alpha_vth * step;
+    simd::affine(hw, mean[ch], inv_std[ch], eff, beta[ch], x + ch * hw,
+                 y + ch * hw);
+  }
+}
+
+Tensor batchnorm_inv_std(const Tensor& var, float eps) {
+  Tensor inv_std = Tensor::empty(var.shape());
+  for (int64_t c = 0; c < var.numel(); ++c) {
+    inv_std[c] = inv_std_of(var[c], eps);
+  }
+  return inv_std;
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_out) {

@@ -70,4 +70,21 @@ class BatchNorm : public Module {
   int64_t cached_n_ = 0, cached_hw_ = 0;
 };
 
+/// Eval-mode BatchNorm of ONE image (the C x H x W of one (t, n)): channel
+/// plane ch becomes eff * ((x - mean[ch]) * inv_std[ch]) + beta[ch] through
+/// simd::affine, with eff = gamma[ch] * alpha_vth * step evaluated left to
+/// right. `step` is TEBN's p_t at the image's timestep (1 in the other
+/// modes). BatchNorm::forward's eval path and the engine's affine ops both
+/// run it, so exact serving matches the module by construction. y may alias
+/// x.
+void batchnorm_eval_image(int64_t channels, int64_t hw, const float* gamma,
+                          const float* beta, const float* mean,
+                          const float* inv_std, float alpha_vth, float step,
+                          const float* x, float* y);
+
+/// Per-channel 1 / sqrt(var + eps) of a [C] variance, in f32: the inverse
+/// std BatchNorm's eval path normalizes by, and the one the inference
+/// lowering stores for its affine ops and BN folding.
+Tensor batchnorm_inv_std(const Tensor& var, float eps);
+
 }  // namespace ttsnn

@@ -19,7 +19,7 @@ Tensor Linear::forward(const Tensor& x) {
   const int64_t b = x.numel() / in_;
   Shape out_shape = x.shape();
   out_shape[out_shape.size() - 1] = out_;
-  Tensor out(out_shape);
+  Tensor out = Tensor::empty(out_shape);
   linear_forward_into(b, in_, out_, x.data(), weight_.value.data(),
                       has_bias_ ? bias_.value.data() : nullptr, out.data());
   return out;
@@ -53,7 +53,7 @@ Tensor Linear::backward(const Tensor& grad_out) {
     }
   }
   // dx [b, in] = g [b, out] * W [out, in]
-  Tensor grad_in(cached_input_.shape());
+  Tensor grad_in = Tensor::empty(cached_input_.shape());
   gemm(false, false, b, in_, out_, 1.0F, grad_out.data(), weight_.value.data(),
        0.0F, grad_in.data());
   return grad_in;

@@ -21,7 +21,7 @@ Tensor AvgPool2d::forward(const Tensor& x) {
   Shape out_shape = x.shape();
   out_shape[out_shape.size() - 2] = oh;
   out_shape[out_shape.size() - 1] = ow;
-  Tensor out(out_shape);
+  Tensor out = Tensor::empty(out_shape);
   avg_pool_forward_into(planes, h, w, kernel_, x.data(), out.data());
   return out;
 }
@@ -54,7 +54,7 @@ Tensor AvgPool2d::backward(const Tensor& grad_out) {
   const int64_t oh = h / kernel_;
   const int64_t ow = w / kernel_;
   const int64_t planes = shape_numel(cached_in_shape_) / (h * w);
-  Tensor grad_in(cached_in_shape_);
+  Tensor grad_in = Tensor::empty(cached_in_shape_);
   const float* g = grad_out.data();
   float* gi = grad_in.data();
   const float inv = 1.0F / static_cast<float>(kernel_ * kernel_);
@@ -93,7 +93,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
   TTSNN_CHECK(x.dim() == 5, "GlobalAvgPool expects [T, N, C, H, W]");
   cached_in_shape_ = x.shape();
   const int64_t hw = x.size(3) * x.size(4);
-  Tensor out({x.size(0), x.size(1), x.size(2)});
+  Tensor out = Tensor::empty({x.size(0), x.size(1), x.size(2)});
   global_avg_pool_forward_into(x.numel() / hw, hw, x.data(), out.data());
   return out;
 }
@@ -115,7 +115,7 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
       cached_in_shape_[3] * cached_in_shape_[4];
   const int64_t rows = shape_numel(cached_in_shape_) / hw;
   TTSNN_CHECK(grad_out.numel() == rows, "GlobalAvgPool grad shape mismatch");
-  Tensor grad_in(cached_in_shape_);
+  Tensor grad_in = Tensor::empty(cached_in_shape_);
   const float* g = grad_out.data();
   float* gi = grad_in.data();
   const float inv = 1.0F / static_cast<float>(hw);

@@ -19,6 +19,7 @@
 #include "core/ttconv.h"
 #include "infer/analysis.h"
 #include "infer/engine.h"
+#include "infer/plan_cache.h"
 #include "layout_check.h"
 #include "model_gen.h"
 #include "nn/batchnorm.h"
@@ -26,6 +27,7 @@
 #include "nn/conv2d.h"
 #include "nn/lif.h"
 #include "nn/linear.h"
+#include "nn/pooling.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
 
@@ -578,6 +580,41 @@ TEST(PlannedRunTest, FlattenLowersToAnAliasAndStaysBitIdentical) {
   Tensor x = Tensor::uniform({2, 2, 3, 6, 6}, rng);
   Tensor y_ref = net.forward(x);
   EXPECT_EQ(max_abs_diff(engine.run(x), y_ref), 0.0);
+}
+
+// The engine's kernels check no input: every shape the plan cannot serve
+// must be rejected when Engine::run compiles the program for it, before any
+// kernel runs, and must leave no program in the cache.
+TEST(PlannedRunTest, RunRejectsUnservableInputsBeforeAnyKernel) {
+  Rng rng(48);
+  Sequential net;
+  net.emplace<Conv2d>(Conv2d::Options{.in_channels = 3, .out_channels = 4},
+                      rng);
+  net.emplace<BatchNorm>(BatchNorm::Options{
+      .channels = 4, .mode = BatchNorm::Mode::kTebn, .timesteps = 2});
+  net.emplace<LIFNeuron>();
+  net.emplace<AvgPool2d>(2);
+  net.emplace<Flatten>();
+  net.emplace<Linear>(4 * 4 * 4, 3, rng);
+  net.set_training(false);
+
+  for (const infer::CompileOptions& opts :
+       {infer::CompileOptions{.merge_tt = false, .fold_batchnorm = false},
+        infer::CompileOptions{.fold_batchnorm = true}}) {
+    const infer::Engine engine = infer::compile(net, opts);
+    Tensor ok = Tensor::uniform({2, 1, 3, 8, 8}, rng);
+    EXPECT_EQ(max_abs_diff(engine.run(ok), net.forward(ok)), 0.0);
+    const int64_t entries = engine.cache_stats().entries;
+    ASSERT_EQ(entries, 1);
+    for (const Shape& bad : {Shape{2, 1, 2, 8, 8},     // channels
+                             Shape{2, 1, 3, 12, 12},   // head's in-features
+                             Shape{2, 1, 3, 7, 7},     // pool divisibility
+                             Shape{3, 1, 3, 8, 8}}) {  // TEBN's T
+      SCOPED_TRACE(shape_str(bad));
+      EXPECT_THROW(engine.run(Tensor::uniform(bad, rng)), Error);
+      EXPECT_EQ(engine.cache_stats().entries, entries);
+    }
+  }
 }
 
 }  // namespace

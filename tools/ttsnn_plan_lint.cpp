@@ -128,16 +128,7 @@ int lint_one(const ttsnn::ScenarioConfig& cfg, const LintFlags& flags,
 
   int fused = 0;
   for (const ttsnn::infer::Op& op : engine.ops()) {
-    switch (op.kind) {
-      case ttsnn::infer::Op::Kind::kConvLif:
-      case ttsnn::infer::Op::Kind::kAffineLif:
-      case ttsnn::infer::Op::Kind::kAddLif:
-      case ttsnn::infer::Op::Kind::kAffineAdd:
-        ++fused;
-        break;
-      default:
-        break;
-    }
+    fused += ttsnn::infer::is_fused(op.kind) ? 1 : 0;
   }
   TTSNN_CHECK(!flags.expect_fused || fused > 0,
               "ttsnn_plan_lint: --expect-fused, but the "
